@@ -264,8 +264,8 @@ def ramanujan_sum(n: int, q: int, method: str = "kluyver") -> int:
 
     * ``kluyver``    -- sum of d * mu(n/d) over the divisors d of gcd(n, q);
     * ``hoelder``    -- mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, q);
-    * ``newton``     -- the q-th power sum of the roots of the n-th cyclotomic
-      polynomial, via Newton's identities;
+    * ``newton``     -- the (q mod n)-th power sum of the roots of the n-th
+      cyclotomic polynomial, via Newton's identities (c_n has period n in q);
     * ``definition`` -- floating-point cosine sum rounded to the nearest
       integer, raising :class:`DefinitionResidualError` when the residual
       exceeds 1e-6.  Exists purely as an independent numeric oracle.
@@ -284,5 +284,6 @@ def ramanujan_sum(n: int, q: int, method: str = "kluyver") -> int:
     if method == "newton":
         from . import cyclo  # deferred: cyclo imports this module
 
-        return intpoly.power_sums(cyclo.cyclotomic_poly(n), q)[q]
+        r = q % n  # c_n(q) has period n in q; S_0 = deg Phi_n = phi(n)
+        return intpoly.power_sums(cyclo.cyclotomic_poly(n), r)[r]
     raise ValueError("unknown method %r; expected one of %s" % (method, ", ".join(RAMANUJAN_METHODS)))

@@ -15,7 +15,8 @@ import time
 
 from . import arith, cyclo, intpoly, verify
 
-#: Largest index the polynomial-producing commands accept.  The dense
+#: Largest index the polynomial-producing commands accept, and the largest
+#: ``--n`` for ``ramanujan --method newton|definition``.  The dense
 #: representation and desk-scale algorithms degrade beyond this.
 MAX_CLI_N = 200_000
 
@@ -93,8 +94,9 @@ def _cmd_ramanujan(args) -> int:
         raise _UsageError("--n must be in [1, 2**63 - 1]")
     if args.q < 0:
         raise _UsageError("--q must be >= 0")
-    if args.method == "newton":
-        _check_cli_n(args.n, "--n")  # this method builds Phi_n
+    if args.method in ("newton", "definition"):
+        # newton builds Phi_n and definition sums over all n residues
+        _check_cli_n(args.n, "--n")
     value = arith.ramanujan_sum(args.n, args.q, args.method)
     if args.format == "json":
         print(
@@ -224,7 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_compose)
 
-    p = sub.add_parser("ramanujan", help="print the Ramanujan sum c_n(q)")
+    p = sub.add_parser(
+        "ramanujan",
+        help="print the Ramanujan sum c_n(q)",
+        description="Print the Ramanujan sum c_n(q).  The closed forms accept any "
+        "n up to 2**63 - 1; the newton and definition methods do work linear "
+        "in n or more, so they take n <= %d." % MAX_CLI_N,
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--method", choices=arith.RAMANUJAN_METHODS, default="kluyver")

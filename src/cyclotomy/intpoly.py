@@ -11,12 +11,18 @@ big integer so the actual multiply runs inside CPython's long arithmetic.
 The packed path is exact by construction (slot widths are sized from
 coefficient bounds) and is cross-checked against the schoolbook path in the
 test suite.
+
+Exact division by a two-term divisor ``c0 + c*X**k`` with ``c = ±1``, such
+as ``X**d - 1``, runs at every size as a strided running sum in linear time.
+Other large divisions by a divisor with a ±1 leading coefficient use a
+power-series inverse and a verification multiply.
 """
 
 from __future__ import annotations
 
 import struct
-from operator import mul
+from itertools import accumulate
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 
@@ -236,6 +242,37 @@ def _div_series(p: list, q: list) -> IntPoly:
     return trim(cand)
 
 
+def _div_binomial(p: list, q: list) -> IntPoly:
+    """Exact quotient by ``q = c0 + ck*X**k`` with ``c0 != 0`` and ``ck`` = ±1.
+
+    Dividing by ``X**k + b`` with ``b = ck*c0`` (that is, by ``ck*q``) is the
+    top-down recurrence ``s[j] = p[j] - b*s[j+k]``: a running sum along each
+    residue class mod k.  Afterwards ``s[k:]`` is the quotient and ``s[:k]``
+    the remainder, so a zero ``s[:k]`` proves ``p == q*r`` exactly.  Linear
+    time, in about ``min(k, len(p)/k)`` Python-level steps: slices, ``map``
+    and ``accumulate`` do the per-coefficient work.
+    """
+    k = len(q) - 1
+    ck = q[k]
+    b = ck * q[0]
+    n = len(p)
+    step = add if b == -1 else (lambda acc, x: x - b * acc)
+    s = list(p)  # s[n-k:] == p[n-k:] already: nothing lies above the top of p
+    # k strided classes or about n/k blocks, whichever is fewer; a class
+    # step is the cheaper of the two, so classes take the ties.
+    if k <= (n + k - 1) // k:
+        fold = None if b == -1 else step  # accumulate's own addition beats add
+        for j in range(n - k, n):
+            s[j::-k] = accumulate(s[j::-k], fold)
+    else:
+        for hi in range(n - k, 0, -k):
+            lo = max(hi - k, 0)
+            s[lo:hi] = map(step, s[lo + k : hi + k], s[lo:hi])
+    if any(s[:k]):
+        raise NotDivisibleError("nonzero remainder")
+    return s[k:] if ck == 1 else list(map(neg, s[k:]))
+
+
 def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     """Quotient ``r`` with ``p == q*r`` exactly.
 
@@ -258,9 +295,11 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
                 raise NotDivisibleError("constant divisor does not divide all coefficients")
             out.append(coeff)
         return out
-    qlen = len(p) - len(q) + 1
-    if q[-1] in (1, -1) and qlen * len(q) > _SCHOOLBOOK_CUTOFF:
-        return _div_series(p, q)
+    if q[-1] in (1, -1):
+        if q[0] and not any(q[1:-1]):
+            return _div_binomial(p, q)
+        if (len(p) - len(q) + 1) * len(q) > _SCHOOLBOOK_CUTOFF:
+            return _div_series(p, q)
     return _div_school(p, q)
 
 

@@ -165,6 +165,14 @@ class TestRamanujanSum:
             for q in range(3 * n + 1):
                 assert arith.ramanujan_sum(n, q) == base[q % n]
 
+    def test_newton_reduces_q_mod_n(self):
+        # c_n(q) has period n in q; newton must not run q Newton steps
+        for n in (1, 2, 12, 97, 360, 1001):
+            for q in (n - 1, n, n + 1, 3 * n + 2, 10**8):
+                assert arith.ramanujan_sum(n, q, "newton") == arith.ramanujan_sum(
+                    n, q, "kluyver"
+                ), (n, q)
+
     def test_multiplicative_in_n(self):
         # unordered pairs with m*n <= 2000 are covered by m <= sqrt(2000)
         for m in range(1, 45):

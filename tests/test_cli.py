@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from cyclotomy import arith
 from cyclotomy.cli import run_cli
 
 
@@ -142,6 +144,22 @@ def test_ramanujan_newton_respects_polynomial_cap(capsys):
                     "--method", "newton"]) == 2
     # the closed forms have no polynomial to build, so big n is fine
     assert run_cli(["ramanujan", "--n", "300000", "--q", "1"]) == 0
+
+
+def test_ramanujan_definition_respects_polynomial_cap(capsys):
+    # definition sums over all n residues; unbounded n exhausted memory
+    assert run_cli(["ramanujan", "--n", "1000000007", "--q", "3",
+                    "--method", "definition"]) == 2
+    assert "--n must be in [1, 200000]" in capsys.readouterr().err
+
+
+def test_ramanujan_newton_huge_q_is_fast(capsys):
+    start = time.perf_counter()
+    assert run_cli(["ramanujan", "--n", "12", "--q", "100000000",
+                    "--method", "newton"]) == 0
+    assert time.perf_counter() - start < 10
+    expected = arith.ramanujan_sum(12, 100000000, "kluyver")
+    assert capsys.readouterr().out == "c_12(100000000) = %d\n" % expected
 
 
 def test_csv_format_rejected_outside_bench_table(capsys):

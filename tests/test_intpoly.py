@@ -133,6 +133,65 @@ class TestExactDiv:
             poly_exact_div(p, q)
 
 
+def _binomial(c0, ck, k):
+    return [c0] + [0] * (k - 1) + [ck]
+
+
+class TestDivBinomial:
+    # (k, quotient length m): k = 1, small k, k near sqrt(m), and k >= m, so
+    # both the per-class and the per-block traversal run, and for k > m some
+    # residue classes hold no quotient coefficient at all.
+    SHAPES = [
+        (1, 1), (1, 60), (2, 1), (2, 3), (3, 50), (4, 9), (4, 5),
+        (7, 49), (8, 64), (9, 80), (12, 100), (12, 144),
+        (30, 5), (30, 30), (64, 10), (64, 65),
+    ]
+
+    def _cases(self, seed):
+        rng = random.Random(seed)
+        for k, m in self.SHAPES:
+            for c0 in (1, -1, 2, -2, 3, -3):
+                for ck in (1, -1):
+                    r = [rng.randint(-50, 50) for _ in range(m - 1)]
+                    yield _binomial(c0, ck, k), r + [rng.choice([1, -1, 7])]
+
+    def test_matches_long_division(self):
+        for q, r in self._cases(4242):
+            p = naive_mul(q, r)
+            oracle, rem = naive_divmod(p, q)
+            assert not rem
+            assert intpoly._div_binomial(p, q) == trim(oracle) == r
+            assert poly_exact_div(p, q) == r
+
+    def test_perturbed_coefficient_is_not_divisible(self):
+        rng = random.Random(77)
+        for q, r in self._cases(2323):
+            k = len(q) - 1
+            p = naive_mul(q, r)
+            # one coefficient below X**k, one at or above it; the top one is
+            # left alone so the degree does not change
+            for lo, hi in ((0, k), (k, len(p) - 1)):
+                if lo == hi:
+                    continue
+                j = rng.randrange(lo, hi)
+                bad = list(p)
+                bad[j] += rng.choice([1, -1, 5])
+                assert naive_divmod(bad, q)[1]
+                with pytest.raises(NotDivisibleError):
+                    intpoly._div_binomial(bad, q)
+                with pytest.raises(NotDivisibleError):
+                    poly_exact_div(bad, q)
+
+    def test_routing_skips_series_and_school(self, monkeypatch):
+        def general_path(*args):
+            raise AssertionError("a two-term divisor took a general division path")
+
+        monkeypatch.setattr(intpoly, "_series_inverse", general_path)
+        monkeypatch.setattr(intpoly, "_div_school", general_path)
+        x_pow_minus_1 = [-1] + [0] * 200002 + [1]
+        assert poly_exact_div(x_pow_minus_1, [-1, 1]) == [1] * 200003
+
+
 class TestSubstituteEval:
     def test_examples(self):
         assert substitute_power([1, 0, 1], 2) == [1, 0, 0, 0, 1]
