@@ -15,9 +15,11 @@ import time
 
 from . import arith, cyclo, intpoly, verify
 
-#: Largest index the polynomial-producing commands accept, and the largest
-#: ``--n`` for ``ramanujan --method newton|definition``.  The dense
-#: representation and desk-scale algorithms degrade beyond this.
+#: Largest index the polynomial-producing commands accept, the largest
+#: ``--n`` for ``ramanujan --method newton|definition``, and the largest
+#: product ``n*m`` for ``compose`` (Phi_n(X^m) is the product of Phi_{d*n}
+#: over d | m, so its indices run up to n*m).  The dense representation and
+#: desk-scale algorithms degrade beyond this.
 MAX_CLI_N = 200_000
 
 _SUITES = ("poly", "totient", "ramanujan", "coeff", "all")
@@ -68,6 +70,10 @@ def _cmd_compose(args) -> int:
     _check_cli_n(args.n, "--n")
     _check_cli_n(args.m, "--m")
     _check_format(args.format)
+    if args.n * args.m > MAX_CLI_N:
+        raise _UsageError(
+            "--n * --m must be at most %d, got %d" % (MAX_CLI_N, args.n * args.m)
+        )
     try:
         poly = cyclo.cyclotomic_of_power(args.n, args.m)
     except cyclo.NotCoprimeError:
@@ -220,7 +226,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=_cmd_compute)
 
-    p = sub.add_parser("compose", help="print Phi_n(X^m) via the coprime product identity")
+    p = sub.add_parser(
+        "compose",
+        help="print Phi_n(X^m) via the coprime product identity",
+        description="Print Phi_n(X^m) as the product of Phi_{d*n} over the divisors "
+        "d of m.  n and m must be coprime, and n*m <= %d." % MAX_CLI_N,
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")

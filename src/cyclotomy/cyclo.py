@@ -7,8 +7,10 @@ with exact integer polynomial arithmetic:
 * ``recursive``        -- divide X**n - 1 by the product of Phi_d over the
   proper divisors d of n;
 * ``mobius_product``   -- multiplicative Mobius inversion of the fundamental
-  identity: product of (X**d - 1)**mu(n/d) over d | n, evaluated as one
-  numerator product, one denominator product, and a single exact division;
+  identity: product of (X**d - 1)**mu(n/d) over d | n, evaluated as a chain
+  of two-term steps: multiply by each numerator factor X**d - 1 in
+  ascending d, then divide exactly by each denominator factor, largest d
+  first;
 * ``radical``          -- prime-power reduction Phi_n(X) = Phi_r(X**e) with
   r = rad(n) and e = n/r, plus a recursion at the squarefree radical;
 * ``dual_form``        -- build the radical one prime p at a time through
@@ -62,15 +64,25 @@ def _recursive(n: int) -> list:
 
 
 def _mobius_product(n: int) -> list:
+    # Every factor is the two-term X**d - 1, so each step is a linear-time
+    # multiply or an exact division checked by its remainder.  The product
+    # of the numerator factors is Phi_n times that of the denominator
+    # factors, so every partial quotient below is exact; dividing by the
+    # largest d first shrinks the degree fastest.
     num = []
     den = []
     for d in arith.divisors(n):
         mu = arith.mobius(n // d)
         if mu == 1:
-            num.append(_x_pow_minus_1(d))
+            num.append(d)
         elif mu == -1:
-            den.append(_x_pow_minus_1(d))
-    return intpoly.poly_exact_div(intpoly.poly_prod(num), intpoly.poly_prod(den))
+            den.append(d)
+    poly = [1]
+    for d in num:
+        poly = intpoly.poly_mul(poly, _x_pow_minus_1(d))
+    for d in reversed(den):
+        poly = intpoly.poly_exact_div(poly, _x_pow_minus_1(d))
+    return poly
 
 
 def radical_reduce(n: int) -> tuple:

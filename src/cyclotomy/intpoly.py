@@ -12,16 +12,17 @@ The packed path is exact by construction (slot widths are sized from
 coefficient bounds) and is cross-checked against the schoolbook path in the
 test suite.
 
-Exact division by a two-term divisor ``c0 + c*X**k`` with ``c = ±1``, such
-as ``X**d - 1``, runs at every size as a strided running sum in linear time.
-Other large divisions by a divisor with a ±1 leading coefficient use a
-power-series inverse and a verification multiply.
+Two-term operands ``c0 + c*X**k``, such as ``X**d - 1``, take linear-time
+routes at every size.  A product with one is ``c0*p + X**k*c*p``, built
+from slices and ``map``.  Exact division by one with ``c = ±1`` is a
+strided running sum.  Other large divisions by a divisor with a ±1 leading
+coefficient use a power-series inverse and a verification multiply.
 """
 
 from __future__ import annotations
 
 import struct
-from itertools import accumulate
+from itertools import accumulate, islice, repeat
 from operator import add, mul, neg
 from typing import Iterable, Sequence
 
@@ -49,7 +50,7 @@ def trim(p: Sequence[int]) -> IntPoly:
     n = len(p)
     while n > 0 and p[n - 1] == 0:
         n -= 1
-    return list(p[:n])
+    return p[:n] if isinstance(p, list) else list(p[:n])
 
 
 def poly_degree(p: Sequence[int]) -> int:
@@ -144,11 +145,47 @@ def _mul_packed(p: Sequence[int], q: Sequence[int]) -> list:
     return _unpack(_pack(p, width) * _pack(q, width), width, len(p) + len(q) - 1)
 
 
+def _is_two_term(q: list) -> bool:
+    """Whether nonzero canonical ``q`` is ``c0 + ck*X**k`` with ``c0 != 0``, ``k >= 1``."""
+    return q[0] != 0 and len(q) - q.count(0) == 2
+
+
+def _scale(p: list, c: int) -> list:
+    if c == 1:
+        return p
+    if c == -1:
+        return list(map(neg, p))
+    return list(map(mul, p, repeat(c)))
+
+
+def _mul_binomial(p: list, q: list) -> IntPoly:
+    """Product of canonical ``p`` with a two-term ``q = c0 + ck*X**k``.
+
+    ``c0*p + X**k*ck*p`` in linear time: the low ``k`` coefficients come
+    from ``c0*p`` alone, the top ``k`` from ``ck*p`` alone, and ``map``
+    adds the two where they overlap.
+    """
+    k = len(q) - 1
+    n = len(p)
+    low = _scale(p, q[0])
+    high = _scale(p, q[k])
+    if k >= n:
+        return low + [0] * (k - n) + high
+    out = low[:k]
+    out += map(add, islice(low, k, None), high)
+    out += islice(high, n - k, None)
+    return out
+
+
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     """Exact product of two polynomials."""
     p, q = trim(p), trim(q)
     if not p or not q:
         return []
+    if _is_two_term(q):
+        return _mul_binomial(p, q)
+    if _is_two_term(p):
+        return _mul_binomial(q, p)
     if len(p) * len(q) <= _SCHOOLBOOK_CUTOFF:
         return _mul_school(p, q)
     return _mul_packed(p, q)
@@ -296,7 +333,7 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
             out.append(coeff)
         return out
     if q[-1] in (1, -1):
-        if q[0] and not any(q[1:-1]):
+        if _is_two_term(q):
             return _div_binomial(p, q)
         if (len(p) - len(q) + 1) * len(q) > _SCHOOLBOOK_CUTOFF:
             return _div_series(p, q)

@@ -36,6 +36,20 @@ def test_compose_noncoprime_is_usage_error(capsys):
     assert "n and m must be coprime" in captured.err
 
 
+def test_compose_bounds_the_product_index(capsys):
+    # each argument is under the cap, but Phi_n(X^m) has degree phi(n)*m,
+    # about 4*10**10 here; this used to run until memory ran out
+    start = time.perf_counter()
+    assert run_cli(["compose", "--n", "199999", "--m", "199998"]) == 2
+    assert time.perf_counter() - start < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n * --m must be at most 200000, got 39999400002" in captured.err
+    # the bound itself is accepted
+    assert run_cli(["compose", "--n", "1", "--m", "200000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 200000
+
+
 def test_ramanujan(capsys):
     assert run_cli(["ramanujan", "--n", "12", "--q", "4"]) == 0
     assert capsys.readouterr().out == "c_12(4) = -2\n"

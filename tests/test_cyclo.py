@@ -51,6 +51,17 @@ class TestCyclotomic:
     def test_first_height_two_coefficient(self):
         assert cyclotomic(105, "mobius_product").poly[7] == -2
 
+    def test_mobius_product_is_a_two_term_chain(self, monkeypatch):
+        # 255255 = 3*5*7*11*13*17: 32 numerator and 32 denominator factors
+        expected = cyclotomic(255255, "dual_form").poly
+
+        def general_path(*args):
+            raise AssertionError("mobius_product left the two-term kernels")
+
+        for name in ("_mul_packed", "_mul_school", "_series_inverse", "_div_school"):
+            monkeypatch.setattr(intpoly, name, general_path)
+        assert cyclotomic(255255, "mobius_product").poly == expected
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             cyclotomic(6, "fft")

@@ -192,6 +192,56 @@ class TestDivBinomial:
         assert poly_exact_div(x_pow_minus_1, [-1, 1]) == [1] * 200003
 
 
+class TestMulBinomial:
+    COEFFS = (1, -1, 2, -2, 3, -3)
+
+    def _operands(self, seed):
+        # p with zeros inside, at the bottom, and trailing zeros at the top
+        # that trimming removes, and one two-term p; k from 1 to beyond len(p)
+        rng = random.Random(seed)
+        shapes = [[5], [0, 1], [3, 0, 0, -2], [0, 0, 4, 0, 1, 0, 0], [1, 0, 0]]
+        for length in (2, 7, 30, 61):
+            p = [rng.choice([0, 0, rng.randint(-40, 40)]) for _ in range(length)]
+            shapes.append([0] + p + [rng.choice([1, -1, 9])] + [0, 0])
+        for p in shapes:
+            for k in sorted({1, 2, 3, len(p) - 1, len(p), len(p) + 1, 2 * len(p) + 5}):
+                if k >= 1:
+                    yield p, k
+
+    def test_matches_schoolbook_either_side(self):
+        for p, k in self._operands(31337):
+            for c0 in self.COEFFS:
+                for ck in self.COEFFS:
+                    q = _binomial(c0, ck, k)
+                    expected = trim(intpoly._mul_school(p, q))
+                    assert poly_mul(p, q) == expected, (p, q)
+                    assert poly_mul(q, p) == expected, (q, p)
+                    assert poly_mul(p, q + [0, 0]) == expected, (p, q)
+
+    def test_result_is_a_fresh_list(self):
+        p = [1, 2, 3]
+        for q in ([1, 1], [1] + [0] * 5 + [1]):
+            out = poly_mul(p, q)
+            out[0] = 99
+            assert p == [1, 2, 3]
+
+    def test_routing_skips_school_and_packed(self, monkeypatch):
+        # k = 1 would go to schoolbook, the larger k to the packed multiply
+        dense = [random.Random(8).randint(-9, 9) for _ in range(600)] + [1]
+        cases = [(dense, _binomial(-1, 1, k)) for k in (1, 64, 601, 1000)]
+        cases.append(([7, 0, 1], _binomial(2, -3, 1)))
+        expected = [naive_mul(p, q) for p, q in cases]
+
+        def general_path(*args):
+            raise AssertionError("a two-term operand took a general multiply path")
+
+        monkeypatch.setattr(intpoly, "_mul_school", general_path)
+        monkeypatch.setattr(intpoly, "_mul_packed", general_path)
+        for (p, q), want in zip(cases, expected):
+            assert poly_mul(p, q) == want
+            assert poly_mul(q, p) == want
+
+
 class TestSubstituteEval:
     def test_examples(self):
         assert substitute_power([1, 0, 1], 2) == [1, 0, 0, 0, 1]
@@ -283,6 +333,13 @@ class TestHelpers:
         assert trim([0, 1, 0, 0]) == [0, 1]
         assert trim([]) == []
         assert trim((1, 2)) == [1, 2]
+        assert type(trim((1, 2, 0))) is list
+
+    def test_trim_returns_a_fresh_list(self):
+        for p in ([3, 0], [3, 4]):
+            out = trim(p)
+            out.append(9)
+            assert p[-1] != 9
 
 
 class TestRendering:
