@@ -241,8 +241,11 @@ def build_parser() -> argparse.ArgumentParser:
         "ramanujan",
         help="print the Ramanujan sum c_n(q)",
         description="Print the Ramanujan sum c_n(q).  The closed forms accept any "
-        "n up to 2**63 - 1; the newton and definition methods do work linear "
-        "in n or more, so they take n <= %d." % MAX_CLI_N,
+        "n up to 2**63 - 1.  The newton method builds Phi_n and runs Newton's "
+        "identities by divide and conquer on packed multiplies, O(M(n) log n) "
+        "for M(n) the cost of one n-term multiply (a few seconds at n = "
+        "199999); definition sums over all n residues.  Both take n <= %d."
+        % MAX_CLI_N,
     )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--q", type=int, required=True)

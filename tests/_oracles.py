@@ -80,3 +80,33 @@ def naive_ramanujan(n, q):
     nearest = round(total)
     assert abs(total - nearest) < 1e-6
     return int(nearest)
+
+
+def naive_power_sums(p, q_max):
+    """Power sums S_0 .. S_q_max of the roots of monic p, by the scalar
+    Newton recurrence: n**2/2 products, one index at a time."""
+    n = len(p) - 1
+    s = [n]
+    for q in range(1, q_max + 1):
+        acc = 0
+        for j in range(1, min(q - 1, n) + 1):
+            acc += p[n - j] * s[q - j]
+        if q <= n:
+            acc += q * p[n - q]
+        s.append(-acc)
+    return s
+
+
+def naive_coeffs_from_power_sums(s, n):
+    """Monic degree-n coefficients from S_1 .. S_n by the scalar inverse
+    Newton recurrence; None if some division by the step index is inexact."""
+    a = [0] * n + [1]
+    for step in range(1, n + 1):
+        acc = 0
+        for j in range(1, step + 1):
+            acc += a[n - step + j] * s[j]
+        coeff, res = divmod(-acc, step)
+        if res:
+            return None
+        a[n - step] = coeff
+    return a

@@ -176,6 +176,14 @@ def test_ramanujan_newton_huge_q_is_fast(capsys):
     assert capsys.readouterr().out == "c_12(100000000) = %d\n" % expected
 
 
+def test_ramanujan_newton_large_n(capsys):
+    # power sums up to q = 65536 of Phi_65537, in well under a minute
+    assert run_cli(["ramanujan", "--n", "65537", "--q", "65536",
+                    "--method", "newton"]) == 0
+    expected = arith.ramanujan_sum(65537, 65536, "kluyver")
+    assert capsys.readouterr().out == "c_65537(65536) = %d\n" % expected
+
+
 def test_csv_format_rejected_outside_bench_table(capsys):
     for args in (
         ["compute", "--n", "5"],

@@ -62,6 +62,10 @@ class TestCyclotomic:
             monkeypatch.setattr(intpoly, name, general_path)
         assert cyclotomic(255255, "mobius_product").poly == expected
 
+    def test_newton_ramanujan_at_a_large_prime(self):
+        # phi = 65536 coefficients; the scalar Newton loop took about 80 s
+        assert cyclotomic(65537, "newton_ramanujan").poly == cyclotomic_poly(65537)
+
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
             cyclotomic(6, "fft")

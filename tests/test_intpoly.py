@@ -22,7 +22,12 @@ from cyclotomy.intpoly import (
     trim,
 )
 
-from _oracles import naive_divmod, naive_mul
+from _oracles import (
+    naive_coeffs_from_power_sums,
+    naive_divmod,
+    naive_mul,
+    naive_power_sums,
+)
 
 small_poly = st.lists(st.integers(min_value=-100, max_value=100), max_size=12)
 
@@ -316,6 +321,86 @@ class TestPowerSums:
             coeffs_from_power_sums([0], 0)
         with pytest.raises(ValueError):
             power_sums([0, 1], -1)
+
+
+def _random_monic(rng, deg):
+    # small coefficients keep the power sums (about max|root|**q) short
+    bound = rng.choice((1, 3, 30))
+    return [rng.randint(-bound, bound) for _ in range(deg)] + [1]
+
+
+class TestOnlineConv:
+    """Newton's identities by divide and conquer against the scalar recurrence."""
+
+    def test_power_sums_match_scalar_recurrence(self):
+        # degrees up to 300 cross the leaf size: block products run from
+        # the smallest split range up to 150 by 299 terms
+        rng = random.Random(7)
+        leaf = intpoly._NEWTON_LEAF
+        for deg in sorted(rng.sample(range(1, 301), 40)) + [1, leaf, leaf + 1, 2 * leaf + 1]:
+            p = _random_monic(rng, deg)
+            for q_max in (0, rng.randint(0, deg - 1), deg, 2 * deg + 1):
+                assert power_sums(p, q_max) == naive_power_sums(p, q_max), (deg, q_max)
+
+    def test_power_sums_far_past_the_degree(self):
+        for p in ([-1, 1], [6, -5, 1], [1, -2, 0, 1], [-1, 0, 0, 1], [2, 1, -3, 1]):
+            deg = len(p) - 1
+            assert power_sums(p, 5000) == naive_power_sums(p, 5000), deg
+        # a known sequence past the leaf size, still far shorter than the output
+        rng = random.Random(3)
+        for deg in (intpoly._NEWTON_LEAF - 5, intpoly._NEWTON_LEAF + 20):
+            p = [rng.randint(-1, 1) for _ in range(deg)] + [1]
+            assert power_sums(p, 10 * deg) == naive_power_sums(p, 10 * deg), deg
+
+    def test_coeffs_roundtrip_and_scalar_recurrence(self):
+        rng = random.Random(11)
+        leaf = intpoly._NEWTON_LEAF
+        for deg in sorted(rng.sample(range(1, 301), 40)) + [1, leaf, leaf + 1, 2 * leaf + 1]:
+            p = _random_monic(rng, deg)
+            sums = power_sums(p, deg)
+            assert coeffs_from_power_sums(sums, deg) == p, deg
+            assert naive_coeffs_from_power_sums(sums, deg) == p, deg
+
+    def test_extra_power_sums_are_ignored(self):
+        p = _random_monic(random.Random(5), 150)
+        sums = power_sums(p, 400)
+        sums[0] = 12345  # S_0 is never read
+        assert coeffs_from_power_sums(sums, 150) == p
+        assert coeffs_from_power_sums(tuple(sums), 150) == p
+
+    def test_perturbed_power_sum_is_inexact(self):
+        # Raising S_k by 1 raises the step-k numerator by e_0 = 1, so step k
+        # (k >= 2) is the first inexact one, whichever route reaches it.
+        deg = 4 * intpoly._NEWTON_LEAF + 3
+        rng = random.Random(13)
+        p = _random_monic(rng, deg)
+        sums = power_sums(p, deg)
+        inside_first_leaf = (2, intpoly._NEWTON_LEAF // 4)
+        boundaries = ((deg + 1) // 2, (deg + 1) // 4, 3 * (deg + 1) // 4)
+        for k in (*inside_first_leaf, *boundaries, deg - 1, deg):
+            bad = list(sums)
+            bad[k] += 1
+            assert naive_coeffs_from_power_sums(bad, deg) is None, k
+            with pytest.raises(InexactDivisionError):
+                coeffs_from_power_sums(bad, deg)
+
+    def test_first_inexact_step_raises(self, monkeypatch):
+        # Indices finish in increasing k: every step before the fault runs,
+        # and nothing after it.
+        deg = 3 * intpoly._NEWTON_LEAF
+        sums = power_sums(_random_monic(random.Random(17), deg), deg)
+        sums[deg // 2] += 1
+        steps = []
+        real_divmod = divmod
+
+        def spy(a, b):
+            steps.append(b)
+            return real_divmod(a, b)
+
+        monkeypatch.setattr(intpoly, "divmod", spy, raising=False)
+        with pytest.raises(InexactDivisionError):
+            coeffs_from_power_sums(sums, deg)
+        assert steps == list(range(1, deg // 2 + 1))
 
 
 class TestHelpers:
