@@ -246,31 +246,13 @@ def _div_school(p: list, q: list) -> IntPoly:
     return trim(out)
 
 
-def _mul_trunc(p: list, q: list, k: int) -> list:
-    """First ``k`` coefficients of ``p*q`` (no canonical trimming)."""
-    p = p[:k]
-    q = q[:k]
-    if not p or not q:
-        return [0] * k
-    if len(p) * len(q) <= _SCHOOLBOOK_CUTOFF:
-        out = _mul_school(p, q)
-    else:
-        out = _mul_packed(p, q)
-    out = out[:k]
-    return out + [0] * (k - len(out))
-
-
 def _series_inverse(b: list, k: int) -> list:
     """Inverse of ``b`` modulo ``X**k`` over the integers; needs ``b[0] in {1,-1}``."""
     inv = [b[0]]
     prec = 1
     while prec < k:
         prec = min(2 * prec, k)
-        t = _mul_trunc(b[:prec], inv, prec)
-        t[0] = 2 - t[0]
-        for i in range(1, prec):
-            t[i] = -t[i]
-        inv = _mul_trunc(inv, t, prec)
+        inv = poly_mul(inv, poly_sub([2], poly_mul(b[:prec], inv)[:prec]))[:prec]
     return inv
 
 
@@ -281,7 +263,8 @@ def _div_series(p: list, q: list) -> IntPoly:
     pr = p[::-1][:qlen]
     qr = q[::-1][:qlen]
     inv = _series_inverse(qr, qlen)
-    cand = _mul_trunc(pr + [0] * (qlen - len(pr)), inv, qlen)[::-1]
+    low = poly_mul(pr, inv)[:qlen]
+    cand = [0] * (qlen - len(low)) + low[::-1]
     if poly_mul(q, cand) != p:
         raise NotDivisibleError("nonzero remainder")
     return trim(cand)
@@ -331,15 +314,6 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
         return []
     if len(p) < len(q):
         raise NotDivisibleError("divisor degree exceeds dividend degree")
-    if len(q) == 1:
-        c = q[0]
-        out = []
-        for a in p:
-            coeff, res = divmod(a, c)
-            if res:
-                raise NotDivisibleError("constant divisor does not divide all coefficients")
-            out.append(coeff)
-        return out
     if q[-1] in (1, -1):
         if _is_two_term(q):
             return _div_binomial(p, q)

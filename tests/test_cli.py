@@ -185,6 +185,7 @@ def test_ramanujan_newton_large_n(capsys):
 
 
 def test_csv_format_rejected_outside_bench_table(capsys):
+    # csv is not among the --format choices, so argparse rejects it
     for args in (
         ["compute", "--n", "5"],
         ["compose", "--n", "5", "--m", "2"],
@@ -192,7 +193,27 @@ def test_csv_format_rejected_outside_bench_table(capsys):
         ["verify", "--max-n", "5"],
     ):
         assert run_cli(args + ["--format", "csv"]) == 2
-        assert "only valid for bench and table" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --format: invalid choice: 'csv'" in captured.err
+
+
+def test_table_and_bench_bound_max_n(tmp_path, capsys):
+    # both compute every Phi_n up to --max-n, about 0.3*N**2 coefficients;
+    # at 200000 that is 1.2*10**10, so the bound is on N, not only on each n
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    for max_n in ("5001", "200000"):
+        for args in (
+            ["table", "--max-n", max_n, "--out", str(out)],
+            ["bench", "--max-n", max_n, "--algorithms", "recursive", "--out", str(out)],
+        ):
+            assert run_cli(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--max-n must be in [1, 5000], got %s" % max_n in captured.err
+    assert time.perf_counter() - start < 10
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):

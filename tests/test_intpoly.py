@@ -104,6 +104,27 @@ class TestExactDiv:
         assert poly_exact_div([2, 4, 6], [2]) == [1, 2, 3]
         with pytest.raises(NotDivisibleError):
             poly_exact_div([2, 3], [2])
+        # 1 and -1 past the schoolbook cutoff go to the series path, every
+        # other constant to long division with one-term steps; the low zeros
+        # make the series path pad its truncated product
+        rng = random.Random(2026)
+        long = [0, 0, 0] + [rng.randint(-50, 50) for _ in range(5996)] + [7]
+        short = [rng.randint(-50, 50) for _ in range(40)] + [5]
+        exact = [(long, [1]), (long, [-1])]
+        inexact = []
+        for c in (2, 3):
+            for p in (short, long):
+                exact.append((poly_mul(p, [c]), [c]))
+                inexact.append((poly_add(poly_mul(p, [c]), [1]), [c]))
+                inexact.append((poly_mul(p, [c]) + [1], [c]))
+        for p, q in exact:
+            quot, rem = naive_divmod(p, q)
+            assert quot is not None and not rem
+            assert poly_exact_div(p, q) == trim(quot)
+        for p, q in inexact:
+            assert naive_divmod(p, q)[0] is None
+            with pytest.raises(NotDivisibleError):
+                poly_exact_div(p, q)
 
     def test_lower_degree_dividend(self):
         assert poly_exact_div([], [1, 1]) == []

@@ -1,6 +1,6 @@
 import pytest
 
-from cyclotomy import verify
+from cyclotomy import cyclo, intpoly, verify
 from cyclotomy.verify import (
     CheckReport,
     check_coefficient_facts,
@@ -36,6 +36,24 @@ class TestPolynomialChecks:
         counter = _by_name(reports, "noncoprime_counterexample")
         assert counter.passed  # the two sides really differ
         assert _by_name(reports, "fundamental_product").passed
+
+    def test_dual_inversion_failure_is_a_report(self, monkeypatch):
+        real = cyclo.cyclotomic_poly
+
+        def perturbed(k):
+            poly = real(k)
+            if k == 12:
+                poly[0] += 1
+            return poly
+
+        monkeypatch.setattr(cyclo, "cyclotomic_poly", perturbed)
+        reports = check_polynomial_identities(4, 3)
+        dual = _by_name(reports, "dual_inversion")
+        assert not dual.passed
+        assert dual.witness.startswith("left = ")
+        assert "; right = " in dual.witness
+        assert _by_name(reports, "fundamental_product").passed
+        assert _by_name(reports, "power_substitution_product").passed
 
     def test_params_recorded(self):
         report = check_polynomial_identities(4, 3)[0]
@@ -115,11 +133,21 @@ class TestCheckReport:
 
 
 class TestSweeps:
-    def test_polynomial_sweep_small(self):
+    def test_polynomial_sweep_small(self, monkeypatch):
         result = verify.sweep_polynomial(60)
         assert result.suite == "poly"
         assert result.passed
-        assert result.checks > 0
+        assert result.checks == 721
+
+        # the first sweep filled the Phi cache, whose misses divide; the
+        # checks themselves never do
+        def forbidden(*_args):
+            raise AssertionError("verify divided polynomials")
+
+        monkeypatch.setattr(intpoly, "poly_exact_div", forbidden)
+        again = verify.sweep_polynomial(60)
+        assert again.passed
+        assert again.checks == result.checks
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
