@@ -1,8 +1,9 @@
 """Elementary multiplicative number theory.
 
-Factorization (trial division, then Brent's cycle variant of Pollard rho
-with a deterministic Miller-Rabin primality test), divisors, the Mobius
-and Euler totient functions, and Ramanujan sums by several closed forms.
+Factorization (trial division by the primes below 1024, then Brent's cycle
+variant of Pollard rho with a deterministic Miller-Rabin primality test for
+any part left at or above 1024**2), divisors, the Mobius and Euler totient
+functions, and Ramanujan sums by several closed forms.
 
 All functions are pure and deterministic; the internal memo tables only
 cache results of pure computations, so concurrent use is safe.
@@ -11,6 +12,7 @@ cache results of pure computations, so concurrent use is safe.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from math import cos, fsum, gcd, isqrt, tau
 
 from . import intpoly
@@ -20,8 +22,6 @@ MAX_INDEX = 2**63 - 1
 
 #: Valid ``method`` arguments for :func:`ramanujan_sum`.
 RAMANUJAN_METHODS = ("kluyver", "hoelder", "newton", "definition")
-
-_TRIAL_LIMIT = 10**6
 
 
 class DefinitionResidualError(ArithmeticError):
@@ -62,34 +62,23 @@ def is_prime(n: int) -> bool:
     return True
 
 
-_primes: list = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
-_sieve_limit = 32
-
-
-def _extend_primes(limit: int) -> list:
-    """Grow the shared prime table to cover ``limit`` (capped at the trial bound)."""
-    global _primes, _sieve_limit
-    limit = min(limit, _TRIAL_LIMIT)
-    if limit <= _sieve_limit:
-        return _primes
-    new_limit = max(limit, 2 * _sieve_limit)
-    sieve = bytearray([1]) * (new_limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, isqrt(new_limit) + 1):
+def _prime_table(limit: int) -> tuple:
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(limit - 1) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, new_limit + 1, p)))
-    fresh = [i for i in range(2, new_limit + 1) if sieve[i]]
-    # Swap in a complete new list so concurrent readers always see a
-    # consistent table.
-    _primes = fresh
-    _sieve_limit = new_limit
-    return _primes
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    return tuple(compress(range(limit), sieve))
+
+
+#: Trial division uses the primes below this bound, so a cofactor below its
+#: square that none of them divides is prime.
+_TRIAL_BOUND = 1024
+_SMALL_PRIMES = _prime_table(_TRIAL_BOUND)
 
 
 def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite ``n`` (Brent's variant, deterministic)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of odd composite ``n`` (Brent's variant, deterministic)."""
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -118,39 +107,31 @@ def _pollard_rho(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _factorize(n: int) -> tuple:
-    if n == 1:
-        return ()
-    factors = {}
-    rem = n
-    idx = 0
-    primes = _extend_primes(isqrt(rem) + 1)
-    while idx < len(primes):
-        p = primes[idx]
-        if p * p > rem:
+    factors = []
+    for p in _SMALL_PRIMES:
+        if p * p > n:
             break
-        if rem % p == 0:
+        if n % p == 0:
             e = 0
-            while rem % p == 0:
-                rem //= p
+            while n % p == 0:
+                n //= p
                 e += 1
-            factors[p] = e
-            primes = _extend_primes(isqrt(rem) + 1)
-        idx += 1
-    if rem > 1:
-        if p * p > rem or is_prime(rem):
-            factors[rem] = factors.get(rem, 0) + 1
+            factors.append((p, e))
+    if n < _TRIAL_BOUND**2:
+        if n > 1:
+            factors.append((n, 1))
+        return tuple(factors)
+    # No prime factor below the trial bound: split with Pollard rho.
+    large = {}
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
         else:
-            # Beyond the trial bound: split with Pollard rho.
-            stack = [rem]
-            while stack:
-                m = stack.pop()
-                if is_prime(m):
-                    factors[m] = factors.get(m, 0) + 1
-                    continue
-                d = _pollard_rho(m)
-                stack.append(d)
-                stack.append(m // d)
-    return tuple(sorted(factors.items()))
+            d = _pollard_rho(m)
+            stack += (d, m // d)
+    return tuple(factors) + tuple(sorted(large.items()))
 
 
 def factorize(n: int) -> list:

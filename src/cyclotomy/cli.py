@@ -192,14 +192,19 @@ def _cmd_bench(args) -> int:
 
 def _cmd_table(args) -> int:
     _check_cli_n(args.max_n, "--max-n", MAX_TABLE_N)
-    rows = []
-    for n in range(1, args.max_n + 1):
-        poly = cyclo.cyclotomic_poly(n)
-        rows.append(
-            {"n": n, "degree": len(poly) - 1, "coefficients": _coeff_strings(poly)}
-        )
-    _write_out(args.out, _dump(rows) + "\n")
-    print("wrote %d rows to %s" % (len(rows), args.out), file=sys.stderr)
+    # One row at a time, so memory stays bounded by the largest row; the
+    # bytes equal _dump(rows) + "\n" of the whole list.
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("[")
+        for n in range(1, args.max_n + 1):
+            poly = cyclo.cyclotomic_poly(n)
+            if n > 1:
+                fh.write(",")
+            fh.write(
+                _dump({"n": n, "degree": len(poly) - 1, "coefficients": _coeff_strings(poly)})
+            )
+        fh.write("]\n")
+    print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)
     return 0
 
 

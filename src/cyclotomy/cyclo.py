@@ -117,12 +117,7 @@ def _newton_ramanujan(n: int) -> list:
     # c_n(q) depends on q only through gcd(n, q): one Kluyver sum per divisor
     by_gcd = {g: arith.ramanujan_sum(n, g, "kluyver") for g in arith.divisors(n)}
     sums = [degree, *map(by_gcd.__getitem__, map(gcd, repeat(n), range(1, degree + 1)))]
-    poly = intpoly.coeffs_from_power_sums(sums, degree)
-    if poly[0] != 1:
-        raise InternalIdentityError(
-            "constant term of Phi_%d came out %d, expected 1" % (n, poly[0])
-        )
-    return poly
+    return intpoly.coeffs_from_power_sums(sums, degree)
 
 
 _DISPATCH = {
@@ -168,27 +163,18 @@ def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:
         raise ValueError(
             "unknown algorithm %r; expected one of %s" % (algorithm, ", ".join(ALGORITHMS))
         )
-    if n == 1:
-        poly = [-1, 1]
-    elif n == 2:
-        poly = [1, 1]
-    else:
-        try:
-            poly = _DISPATCH[algorithm](n)
-        except (intpoly.NotDivisibleError, intpoly.InexactDivisionError) as exc:
-            raise InternalIdentityError(
-                "exact arithmetic failed while computing Phi_%d by %s: %s"
-                % (n, algorithm, exc)
-            ) from exc
+    try:
+        poly = _DISPATCH[algorithm](n)
+    except (intpoly.NotDivisibleError, intpoly.InexactDivisionError) as exc:
+        raise InternalIdentityError(
+            "exact arithmetic failed while computing Phi_%d by %s: %s"
+            % (n, algorithm, exc)
+        ) from exc
     return CyclotomicResult(n=n, poly=poly, algorithm=algorithm)
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(n: int) -> tuple:
-    if n == 1:
-        return (-1, 1)
-    if n == 2:
-        return (1, 1)
     return tuple(_dual_form(n))
 
 

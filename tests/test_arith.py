@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,11 +39,47 @@ class TestFactorize:
         assert prod == n
 
     def test_beyond_trial_division(self):
-        # cofactors past the 10**6 trial bound go through Pollard rho
+        # parts with no prime factor below 1024 and at least 1024**2 go through Pollard rho
         n = 1000000007 * 998244353
         assert arith.factorize(n) == [(998244353, 1), (1000000007, 1)]
         assert arith.factorize((2**31 - 1) ** 2) == [(2**31 - 1, 2)]
         assert arith.factorize(2**61 - 1) == [(2**61 - 1, 1)]
+
+    @pytest.mark.parametrize(
+        "factors",
+        [
+            [(1019, 1), (1021, 1)],
+            [(1021, 2)],
+            [(1021, 1), (1031, 1)],
+            [(1031, 2)],
+            [(1031, 3)],
+            [(1031, 1), (1033, 1), (1039, 1)],
+            [(999979, 1), (999983, 1)],
+            [(999983, 2)],
+            [(1031, 1), (2**31 - 1, 1)],
+        ],
+    )
+    def test_around_the_trial_bound(self, factors):
+        n = 1
+        for p, e in factors:
+            n *= p**e
+        assert arith.factorize(n) == factors
+
+    def test_products_of_primes_past_the_trial_bound(self):
+        rng = random.Random(1031)
+        primes = []
+        while len(primes) < 60:
+            p = rng.randrange(1024, 10**6)
+            if arith.is_prime(p):
+                primes.append(p)
+        for _ in range(200):
+            picked = [rng.choice(primes) for _ in range(rng.randint(1, 3))]
+            n = 1
+            for p in picked:
+                n *= p
+            expected = sorted((p, picked.count(p)) for p in set(picked))
+            assert arith.factorize(n) == expected
+            assert arith.factorize(6 * n) == [(2, 1), (3, 1)] + expected
 
     def test_largest_index(self):
         assert arith.factorize(2**63 - 1) == [

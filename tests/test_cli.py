@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from cyclotomy import arith
+from cyclotomy import arith, cyclo
 from cyclotomy.cli import run_cli
 
 
@@ -114,6 +114,16 @@ def test_table_deterministic(tmp_path):
     assert run_cli(["table", "--max-n", "40", "--out", str(a)]) == 0
     assert run_cli(["table", "--max-n", "40", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_table_bytes_equal_one_json_dump(tmp_path):
+    out = tmp_path / "table.json"
+    assert run_cli(["table", "--max-n", "40", "--out", str(out)]) == 0
+    rows = []
+    for n in range(1, 41):
+        poly = cyclo.cyclotomic_poly(n)
+        rows.append({"n": n, "degree": len(poly) - 1, "coefficients": [str(c) for c in poly]})
+    assert out.read_bytes() == (json.dumps(rows, separators=(",", ":")) + "\n").encode()
 
 
 def test_bench_deterministic_except_timing(tmp_path):

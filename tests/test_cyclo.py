@@ -32,6 +32,12 @@ class TestCyclotomic:
         for n, expected in KNOWN.items():
             assert cyclotomic(n, algorithm).poly == expected
 
+    @pytest.mark.parametrize("algorithm", sorted(cyclo._DISPATCH))
+    def test_every_algorithm_builds_phi_1_and_phi_2(self, algorithm):
+        # cyclotomic() and the cache have no special case for n <= 2
+        assert cyclo._DISPATCH[algorithm](1) == [-1, 1]
+        assert cyclo._DISPATCH[algorithm](2) == [1, 1]
+
     def test_result_fields(self):
         result = cyclotomic(12, "newton_ramanujan")
         assert result.n == 12
