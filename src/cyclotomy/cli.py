@@ -29,8 +29,14 @@ _SUITES = ("poly", "totient", "ramanujan", "coeff", "all")
 
 #: Largest ``--max-n`` for ``table`` and ``bench``, which compute every Phi_n
 #: with n <= --max-n: about 0.3*N**2 coefficients in all (7.6 million at
-#: 5000, 1.2*10**10 at MAX_CLI_N).
+#: 5000, 1.2*10**10 at MAX_CLI_N).  The ``poly`` and ``coeff`` suites of
+#: ``verify`` (and so ``all``) build the same Phi_n and take the same cap.
 MAX_TABLE_N = 5_000
+
+#: Most (n, m, q) points the ``ramanujan`` suite of ``verify`` may check:
+#: one per pair n*m <= --max-n and q <= --max-q, that is
+#: sum(N // n for n <= N) * (max_q + 1) for N = --max-n.
+MAX_RAMANUJAN_POINTS = 1_000_000
 
 
 def _check_cli_n(value: int, name: str, cap: int = MAX_CLI_N) -> None:
@@ -122,10 +128,25 @@ def _run_suites(max_n: int, max_q: int, suite: str) -> list:
     return results
 
 
-def _cmd_verify(args) -> int:
-    _check_cli_n(args.max_n, "--max-n")
-    if args.max_q < 0:
+def _check_verify_work(max_n: int, max_q: int, suite: str) -> None:
+    """Reject, before any work, a sweep whose work exceeds the caps above."""
+    if suite in ("poly", "coeff", "all"):
+        _check_cli_n(max_n, "--max-n of --suite %s" % suite, MAX_TABLE_N)
+    else:
+        _check_cli_n(max_n, "--max-n")
+    if max_q < 0:
         raise ValueError("--max-q must be >= 0")
+    if suite in ("ramanujan", "all"):
+        points = sum(max_n // n for n in range(1, max_n + 1)) * (max_q + 1)
+        if points > MAX_RAMANUJAN_POINTS:
+            raise ValueError(
+                "--suite %s would check %d (n, m, q) points, more than %d; "
+                "lower --max-n or --max-q" % (suite, points, MAX_RAMANUJAN_POINTS)
+            )
+
+
+def _cmd_verify(args) -> int:
+    _check_verify_work(args.max_n, args.max_q, args.suite)
     results = _run_suites(args.max_n, args.max_q, args.suite)
     all_passed = all(r.passed for r in results)
     if args.format == "json":
@@ -256,7 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_ramanujan)
 
-    p = sub.add_parser("verify", help="run identity sweeps; exit 1 on any failure")
+    p = sub.add_parser(
+        "verify",
+        help="run identity sweeps; exit 1 on any failure",
+        description="Run the identity sweeps over every pair n*m <= --max-n (and "
+        "q <= --max-q for the ramanujan suite); exit 1 on any failure.  --max-n "
+        "is at most %d for the poly and coeff suites and for all, which build "
+        "every Phi_n up to it, and at most %d otherwise.  The ramanujan suite, "
+        "and all, check sum(N // n for n <= N) * (max_q + 1) points for N = "
+        "--max-n, at most %d.  Larger sweeps exit 2 before any work."
+        % (MAX_TABLE_N, MAX_CLI_N, MAX_RAMANUJAN_POINTS),
+    )
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-q", type=int, default=50)
     p.add_argument("--suite", choices=_SUITES, default="all")

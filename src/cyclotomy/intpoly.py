@@ -247,12 +247,22 @@ def _div_school(p: list, q: list) -> IntPoly:
 
 
 def _series_inverse(b: list, k: int) -> list:
-    """Inverse of ``b`` modulo ``X**k`` over the integers; needs ``b[0] in {1,-1}``."""
+    """Inverse of ``b`` modulo ``X**k`` over the integers; needs ``b[0] in {1,-1}``.
+
+    Returns exactly ``k`` coefficients (trailing zeros kept).  Newton's
+    iteration doubles the precision ``h`` of ``inv`` each step.  Since
+    ``b*inv == 1 + X**h*e`` already holds, the new inverse is
+    ``inv - X**h*inv*e`` modulo ``X**prec``, so a step multiplies only the
+    error terms ``e`` (terms ``h .. prec-1`` of ``b*inv``) by
+    ``inv[:prec-h]``.
+    """
     inv = [b[0]]
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        inv = poly_mul(inv, poly_sub([2], poly_mul(b[:prec], inv)[:prec]))[:prec]
+    while len(inv) < k:
+        h = len(inv)
+        prec = min(2 * h, k)
+        err = poly_mul(b[:prec], inv)[h:prec]
+        inv += map(neg, poly_mul(inv[: prec - h], err)[: prec - h])
+        inv += repeat(0, prec - len(inv))
     return inv
 
 

@@ -93,13 +93,16 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    params = (("n", n), ("m", m))
-    reports = []
+    return _polynomial_checks(n, m, cyclo._cyclotomic_product(arith.divisors(n)))
 
-    product = cyclo._cyclotomic_product(arith.divisors(n))
-    reports.append(
+
+def _polynomial_checks(n: int, m: int, product: list) -> list:
+    # ``product`` is that of Phi_d over d | n, which depends on n only, so a
+    # sweep computes it once per n rather than once per pair.
+    params = (("n", n), ("m", m))
+    reports = [
         _equal("fundamental_product", params, product, cyclo._x_pow_minus_1(n))
-    )
+    ]
 
     phi_n = cyclo.cyclotomic_poly(n)
     substituted = intpoly.substitute_power(phi_n, m)
@@ -300,10 +303,13 @@ def _collect(result: SweepResult, reports: list) -> None:
 
 
 def sweep_polynomial(max_n: int) -> SweepResult:
-    """Run :func:`check_polynomial_identities` over every pair with n*m <= max_n."""
+    """Run the checks of :func:`check_polynomial_identities` over every pair with
+    n*m <= max_n, computing the fundamental product once per n."""
     result = SweepResult("poly", 0, [])
-    for n, m in _pairs(max_n):
-        _collect(result, check_polynomial_identities(n, m))
+    for n in range(1, max_n + 1):
+        product = cyclo._cyclotomic_product(arith.divisors(n))
+        for m in range(1, max_n // n + 1):
+            _collect(result, _polynomial_checks(n, m, product))
     return result
 
 

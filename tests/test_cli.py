@@ -1,5 +1,6 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +254,46 @@ def test_main_entry_point(capsys, monkeypatch):
         cli_mod.main()
     assert excinfo.value.code == 0
     assert capsys.readouterr().out == "Phi_3(X) = X^2 + X + 1\n"
+
+
+def test_verify_bounds_polynomial_suites(capsys):
+    # poly, coeff and all build every Phi_n up to --max-n, like table
+    start = time.perf_counter()
+    for suite in ("poly", "coeff", "all"):
+        assert run_cli(["verify", "--max-n", "200000", "--suite", suite]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-n of --suite %s must be in [1, 5000]" % suite in captured.err
+    assert time.perf_counter() - start < 10
+
+
+def test_verify_bounds_ramanujan_points(capsys):
+    # sum(6 // n) * (10**9 + 1) = 14 * (10**9 + 1) points
+    start = time.perf_counter()
+    for suite in ("ramanujan", "all"):
+        args = ["verify", "--max-n", "6", "--max-q", "1000000000", "--suite", suite]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "would check 14000000014 (n, m, q) points" in captured.err
+    assert run_cli(["verify", "--max-n", "200000", "--max-q", "0",
+                    "--suite", "ramanujan"]) == 2
+    assert time.perf_counter() - start < 10
+
+
+def test_verify_bounds_admit_the_standard_sweeps(monkeypatch):
+    from cyclotomy import cli
+
+    # criterion 7's (500, 200) is 641,000 points and (2000, 50) 791,000
+    for max_n, max_q in ((500, 200), (2000, 50), (2000, 0)):
+        cli._check_verify_work(max_n, max_q, "ramanujan")
+    cli._check_verify_work(200000, 50, "totient")
+    cli._check_verify_work(5000, 50, "poly")
+    # the benchmark's verify_sweep argument sets
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from workloads import SWEEPS
+
+    assert len(SWEEPS) == 4
+    for suite, extra, _checks in SWEEPS:
+        args = cli.build_parser().parse_args(["verify", "--suite", suite, *extra])
+        cli._check_verify_work(args.max_n, args.max_q, args.suite)

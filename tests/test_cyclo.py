@@ -68,6 +68,29 @@ class TestCyclotomic:
             monkeypatch.setattr(intpoly, name, general_path)
         assert cyclotomic(255255, "mobius_product").poly == expected
 
+    @pytest.mark.parametrize("n", [21504, 28224, 27000, 30030])
+    def test_recursive_at_mixed_indices(self, n):
+        # 21504 = 2**10*3*7, 28224 = 2**6*3**2*7**2, 27000 = 2**3*3**3*5**3
+        # and the squarefree 30030 = 2*3*5*7*11*13
+        assert cyclotomic(n, "recursive").poly == cyclotomic(n, "mobius_product").poly
+
+    def test_recursive_divides_by_a_two_term_factor_at_every_divisor(self, monkeypatch):
+        # X**d - 1 is first divided by X**(d/p) - 1, p the least prime of d
+        n = 2**3 * 3**2 * 5 * 7
+        expected = cyclotomic_poly(n)
+        seen = []
+        div_binomial = intpoly._div_binomial
+
+        def counting(p, q):
+            seen.append((len(p) - 1, len(q) - 1))
+            return div_binomial(p, q)
+
+        monkeypatch.setattr(intpoly, "_div_binomial", counting)
+        assert cyclotomic(n, "recursive").poly == expected
+        for d in arith.divisors(n)[1:]:
+            k = d // arith.factorize(d)[0][0]
+            assert (d, k) in seen, d
+
     def test_newton_ramanujan_at_a_large_prime(self):
         # phi = 65536 coefficients; the scalar Newton loop took about 80 s
         assert cyclotomic(65537, "newton_ramanujan").poly == cyclotomic_poly(65537)

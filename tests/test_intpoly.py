@@ -218,6 +218,32 @@ class TestDivBinomial:
         assert poly_exact_div(x_pow_minus_1, [-1, 1]) == [1] * 200003
 
 
+class TestSeriesInverse:
+    @staticmethod
+    def _check(b, k):
+        inv = intpoly._series_inverse(b, k)
+        assert len(inv) == k, (b, k)
+        low = naive_mul(b, inv)[:k]
+        assert low + [0] * (k - len(low)) == [1] + [0] * (k - 1), (b, k)
+
+    def test_inverse_modulo_x_pow_k(self):
+        rng = random.Random(9090)
+        for _ in range(120):
+            size = rng.randint(1, 40)
+            b = [rng.choice([1, -1])] + [rng.randint(-6, 6) for _ in range(size - 1)]
+            for k in {1, 2, 3, 16, 17, 32, 33, len(b), len(b) + 5, 2 * len(b) + 9}:
+                self._check(b, k)
+
+    def test_sparse_divisor_with_zero_tails(self):
+        # 1/(1 - X**j) = 1 + X**j + X**(2j) + ...: the corrections of the
+        # Newton steps end in zeros, which the result must keep
+        for j in (1, 2, 3, 5, 8, 13):
+            for c0 in (1, -1):
+                b = [c0] + [0] * (j - 1) + [-1]
+                for k in (1, 2, 3, 4, 8, 9, 16, 17, j, j + 1, 3 * j + 2, 64, 65):
+                    self._check(b, k)
+
+
 class TestMulBinomial:
     COEFFS = (1, -1, 2, -2, 3, -3)
 

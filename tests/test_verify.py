@@ -149,6 +149,44 @@ class TestSweeps:
         assert again.passed
         assert again.checks == result.checks
 
+    def test_polynomial_sweep_equals_the_pairwise_checks(self, monkeypatch):
+        # a wrong X**6 - 1 makes the fundamental check fail at n = 6, so the
+        # sweep's failures and witnesses are compared, not only its count
+        x_pow_minus_1 = cyclo._x_pow_minus_1
+
+        def corrupted(n):
+            poly = x_pow_minus_1(n)
+            if n == 6:
+                poly[0] = 2
+            return poly
+
+        monkeypatch.setattr(cyclo, "_x_pow_minus_1", corrupted)
+        pairwise = [
+            r
+            for n in range(1, 41)
+            for m in range(1, 40 // n + 1)
+            for r in check_polynomial_identities(n, m)
+        ]
+        result = verify.sweep_polynomial(40)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert len(result.failures) == 6  # m = 1 .. 6 at n = 6
+
+    def test_polynomial_sweep_takes_the_fundamental_product_once_per_n(self, monkeypatch):
+        calls = []
+        product = cyclo._cyclotomic_product
+
+        def counting(indices):
+            calls.append(indices)
+            return product(indices)
+
+        monkeypatch.setattr(cyclo, "_cyclotomic_product", counting)
+        assert verify.sweep_polynomial(60).passed
+        # once per n, plus one product of Phi_{d*n} over d | m per pair: the
+        # power-substitution side if gcd(n, m) = 1, the counterexample's if not
+        pairs = sum(60 // n for n in range(1, 61))
+        assert len(calls) == 60 + pairs
+
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
 
