@@ -37,16 +37,6 @@ from math import gcd
 
 from . import arith, intpoly
 
-#: Valid ``algorithm`` arguments for :func:`cyclotomic`.
-ALGORITHMS = (
-    "recursive",
-    "mobius_product",
-    "radical",
-    "dual_form",
-    "newton_ramanujan",
-)
-
-
 class NotCoprimeError(ValueError):
     """The identity requested requires coprime arguments."""
 
@@ -139,6 +129,9 @@ _DISPATCH = {
     "newton_ramanujan": _newton_ramanujan,
 }
 
+#: Valid ``algorithm`` arguments for :func:`cyclotomic`.
+ALGORITHMS = tuple(_DISPATCH)
+
 
 @dataclass(frozen=True)
 class CyclotomicResult:
@@ -186,7 +179,10 @@ def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(n: int) -> tuple:
-    return tuple(_dual_form(n))
+    # Phi_r by the two-term chain at the radical r, lifted to n: every step
+    # is a linear-time multiply or division by some X**d - 1.
+    r, e = radical_reduce(n)
+    return tuple(intpoly.substitute_power(_mobius_product(r), e))
 
 
 def _cyclotomic_product(indices: list) -> list:

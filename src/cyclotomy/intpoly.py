@@ -5,11 +5,11 @@ index ``j`` holds the coefficient of ``X**j``.  Canonical form has no
 trailing zeros; the zero polynomial is the empty list.  All arithmetic is
 exact.
 
-Multiplication and exact division switch to a Kronecker-substitution kernel
-for large operands: coefficients are packed into fixed-width slots of one
-big integer so the actual multiply runs inside CPython's long arithmetic.
-The packed path is exact by construction (slot widths are sized from
-coefficient bounds) and is cross-checked against the schoolbook path in the
+Every product of two operands with more than two terms runs through one
+Kronecker-substitution kernel: coefficients are packed into fixed-width
+slots of one big integer so the actual multiply runs inside CPython's long
+arithmetic.  The packed path is exact by construction (slot widths are sized
+from coefficient bounds) and is cross-checked against a naive oracle in the
 test suite.
 
 Two-term operands ``c0 + c*X**k``, such as ``X**d - 1``, take linear-time
@@ -49,8 +49,17 @@ class InexactDivisionError(ArithmeticError):
 
 IntPoly = list  # list[int], ascending coefficients, canonical form
 
-# Below this size product, schoolbook loops beat the packing overhead.
-_SCHOOLBOOK_CUTOFF = 4096
+# Exact division by a divisor with leading coefficient 1 or -1 (and more
+# than two terms) is long division while the quotient length times the
+# divisor length is at most this, and a series inverse above it.  Timed, min
+# of 5 on Python 3.11 and 2 vCPUs, on 146 of the 1674 distinct dense shapes
+# that recursive and dual_form divide at n <= 2000 and at 44 large indices:
+# below 20000 long division won 67 of 71 (quotient x divisor terms 1153x7:
+# 454 vs 1598 us; 441x21: 156 vs 671 us; 1481x11: 736 vs 1931 us) and lost
+# by at most 1.8x (97x100: 632 vs 344 us); from 20000 to 100000 the series
+# won 14 of 26.  Summed over the sample, every cutoff from 20000 to 60000
+# came within 2% of the best; 4096 cost 25% more below size 200000.
+_LONG_DIVISION_CUTOFF = 20000
 
 
 def trim(p: Sequence[int]) -> IntPoly:
@@ -94,15 +103,6 @@ def poly_sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
 
 # ---------------------------------------------------------------------------
 # multiplication
-
-def _mul_school(p: Sequence[int], q: Sequence[int]) -> list:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
 
 _STRUCT_FMT = {16: "H", 32: "I", 64: "Q"}
 
@@ -194,8 +194,6 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
         return _mul_binomial(p, q)
     if _is_two_term(p):
         return _mul_binomial(q, p)
-    if len(p) * len(q) <= _SCHOOLBOOK_CUTOFF:
-        return _mul_school(p, q)
     return _mul_packed(p, q)
 
 
@@ -327,7 +325,7 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     if q[-1] in (1, -1):
         if _is_two_term(q):
             return _div_binomial(p, q)
-        if (len(p) - len(q) + 1) * len(q) > _SCHOOLBOOK_CUTOFF:
+        if (len(p) - len(q) + 1) * len(q) > _LONG_DIVISION_CUTOFF:
             return _div_series(p, q)
     return _div_school(p, q)
 
@@ -361,11 +359,11 @@ def poly_eval(p: Sequence[int], x: int) -> int:
 
 # Ranges of at most this many indices, and every range when the known
 # sequence is this short, are finished by the scalar loop; longer ranges are
-# split in two.  From 91 up, the block product of every split range (r//2
-# by r-1 terms) is past _SCHOOLBOOK_CUTOFF and so packed.  Timed on the
-# Newton step of Phi_n for phi(n) from 2310 to 30010, leaves of 80 to 128
-# were fastest and within noise of each other; 64 and 192 were up to 1.3x
-# slower on some n.
+# split in two, and the block product of a split range (r//2 by r-1 terms)
+# is one packed multiply.  Timed on the Newton step of Phi_n for phi(n) from
+# 960 to 30010, min of 3, leaves of 48 to 128 were within noise of each
+# other (n = 30011: 270 to 313 ms); 192 was up to 1.3x slower (n = 36363:
+# 353 vs 272 ms).
 _NEWTON_LEAF = 96
 
 

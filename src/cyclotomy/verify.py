@@ -106,20 +106,17 @@ def _polynomial_checks(n: int, m: int, product: list) -> list:
 
     phi_n = cyclo.cyclotomic_poly(n)
     substituted = intpoly.substitute_power(phi_n, m)
+    divisors = arith.divisors(m)
+    rhs = cyclo._cyclotomic_product([d * n for d in divisors])
     if gcd(n, m) == 1:
         reports.append(
-            _equal(
-                "power_substitution_product",
-                params,
-                substituted,
-                cyclo.cyclotomic_of_power(n, m),
-            )
+            _equal("power_substitution_product", params, substituted, rhs)
         )
         # Phi_nm joins the denominator: in the integral domain Z[X],
         # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
         num = []
         den = [cyclo.cyclotomic_poly(n * m)]
-        for d in arith.divisors(m):
+        for d in divisors:
             mu = arith.mobius(m // d)
             if mu == 1:
                 num.append(intpoly.substitute_power(phi_n, d))
@@ -134,7 +131,6 @@ def _polynomial_checks(n: int, m: int, product: list) -> list:
             )
         )
     else:
-        rhs = cyclo._cyclotomic_product([d * n for d in arith.divisors(m)])
         reports.append(
             _distinct("noncoprime_counterexample", params, substituted, rhs)
         )

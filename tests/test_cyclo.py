@@ -64,7 +64,7 @@ class TestCyclotomic:
         def general_path(*args):
             raise AssertionError("mobius_product left the two-term kernels")
 
-        for name in ("_mul_packed", "_mul_school", "_series_inverse", "_div_school"):
+        for name in ("_mul_packed", "_series_inverse", "_div_school"):
             monkeypatch.setattr(intpoly, name, general_path)
         assert cyclotomic(255255, "mobius_product").poly == expected
 
@@ -129,6 +129,21 @@ class TestInvariants:
             sums = intpoly.power_sums(cyclotomic_poly(n), 2 * n)
             for q in range(2 * n + 1):
                 assert sums[q] == arith.ramanujan_sum(n, q)
+
+    def test_cache_is_filled_by_two_term_steps(self, monkeypatch):
+        # Phi_n is memoised from the two-term chain at rad(n), lifted to n:
+        # no packed multiply and no dense division, at any size
+        indices = (1, 2, 12, 105, 1024, 30030, 255255)
+        expected = {n: cyclotomic(n, "dual_form").poly for n in indices}
+
+        def general_path(*args):
+            raise AssertionError("the cache left the two-term kernels")
+
+        cyclo._cyclotomic_cached.cache_clear()
+        for name in ("_mul_packed", "_series_inverse", "_div_school"):
+            monkeypatch.setattr(intpoly, name, general_path)
+        for n in indices:
+            assert cyclotomic_poly(n) == expected[n], n
 
     def test_cache_returns_fresh_lists(self):
         poly = cyclotomic_poly(12)

@@ -24,6 +24,7 @@ from cyclotomy.intpoly import (
 
 from _oracles import (
     naive_coeffs_from_power_sums,
+    naive_cyclotomic,
     naive_divmod,
     naive_mul,
     naive_power_sums,
@@ -67,12 +68,44 @@ class TestMul:
     def test_against_oracle(self, p, q):
         assert poly_mul(p, q) == naive_mul(trim(p), trim(q))
 
-    def test_packed_path_matches_schoolbook(self):
+    def test_packed_path_matches_naive_mul(self):
         rng = random.Random(7)
         for _ in range(25):
             p = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(80, 250))]
             q = [rng.randint(-(10**9), 10**9) for _ in range(rng.randint(80, 250))]
-            assert intpoly._mul_packed(p, q) == intpoly._mul_school(p, q)
+            assert intpoly._mul_packed(p, q) == naive_mul(p, q)
+
+    def test_packed_path_at_small_sizes(self):
+        # Constants, monomials, low and interior zeros, 1 to 80 terms a side.
+        # Coefficients at 2**62 - 1, 2**62 and 2**63 give 64-bit and wider
+        # slots, so both the struct codec and the to_bytes codec run.
+        rng = random.Random(62)
+        big = [2**62 - 1, 2**62, 2**63]
+        for _ in range(400):
+            p, q = [], []
+            for poly in (p, q):
+                h = rng.choice([1, 9] + big)
+                poly += [rng.choice([0, rng.randint(-h, h)]) for _ in range(rng.randint(0, 79))]
+                poly.append(rng.choice([1, -1]) * rng.choice([1, h]))
+            assert intpoly._mul_packed(p, q) == naive_mul(p, q), (p, q)
+        for c in big + [-b for b in big]:
+            for k in (0, 1, 5, 79):
+                mono = [0] * k + [c]
+                for other in ([1], [-1], [0, 0, 1], [1, 0, -1], [c], [3, 0, -c], mono):
+                    assert intpoly._mul_packed(mono, other) == naive_mul(mono, other)
+                    assert intpoly._mul_packed(other, mono) == naive_mul(other, mono)
+
+    def test_three_by_three_product_is_packed(self, monkeypatch):
+        seen = []
+        mul_packed = intpoly._mul_packed
+
+        def counting(p, q):
+            seen.append((len(p), len(q)))
+            return mul_packed(p, q)
+
+        monkeypatch.setattr(intpoly, "_mul_packed", counting)
+        assert poly_mul([1, 2, 3], [4, -5, 6]) == naive_mul([1, 2, 3], [4, -5, 6])
+        assert seen == [(3, 3)]
 
     def test_degree_adds(self):
         rng = random.Random(11)
@@ -104,11 +137,12 @@ class TestExactDiv:
         assert poly_exact_div([2, 4, 6], [2]) == [1, 2, 3]
         with pytest.raises(NotDivisibleError):
             poly_exact_div([2, 3], [2])
-        # 1 and -1 past the schoolbook cutoff go to the series path, every
+        # 1 and -1 past the long-division cutoff go to the series path, every
         # other constant to long division with one-term steps; the low zeros
         # make the series path pad its truncated product
         rng = random.Random(2026)
-        long = [0, 0, 0] + [rng.randint(-50, 50) for _ in range(5996)] + [7]
+        cutoff = intpoly._LONG_DIVISION_CUTOFF
+        long = [0, 0, 0] + [rng.randint(-50, 50) for _ in range(cutoff)] + [7]
         short = [rng.randint(-50, 50) for _ in range(40)] + [5]
         exact = [(long, [1]), (long, [-1])]
         inexact = []
@@ -150,6 +184,32 @@ class TestExactDiv:
             oracle, rem = naive_divmod(p, trim(q))
             assert not rem
             assert got == trim(oracle) == trim(r)
+
+    def test_dense_divisor_on_either_side_of_the_cutoff(self, monkeypatch):
+        # Phi_21 * Phi_105, 61 dense terms with a coefficient -2, divides
+        # products whose quotient length times 61 ends just below and just
+        # above the cutoff; only the second takes the series inverse
+        q = naive_mul(naive_cyclotomic(21), naive_cyclotomic(105))
+        cutoff = intpoly._LONG_DIVISION_CUTOFF
+        below = cutoff // len(q)
+        rng = random.Random(61)
+        inverses = []
+        series_inverse = intpoly._series_inverse
+
+        def counting(b, k):
+            inverses.append(k)
+            return series_inverse(b, k)
+
+        monkeypatch.setattr(intpoly, "_series_inverse", counting)
+        for length, series in ((below, False), (below + 1, True)):
+            r = [rng.randint(-20, 20) for _ in range(length - 1)] + [1]
+            p = naive_mul(q, r)
+            assert (length * len(q) > cutoff) == series
+            oracle, rem = naive_divmod(p, q)
+            assert not rem
+            inverses.clear()
+            assert poly_exact_div(p, q) == trim(oracle) == r
+            assert bool(inverses) == series
 
     def test_series_path_detects_remainder(self):
         rng = random.Random(5)
@@ -260,12 +320,12 @@ class TestMulBinomial:
                 if k >= 1:
                     yield p, k
 
-    def test_matches_schoolbook_either_side(self):
+    def test_matches_naive_mul_either_side(self):
         for p, k in self._operands(31337):
             for c0 in self.COEFFS:
                 for ck in self.COEFFS:
                     q = _binomial(c0, ck, k)
-                    expected = trim(intpoly._mul_school(p, q))
+                    expected = naive_mul(p, q)
                     assert poly_mul(p, q) == expected, (p, q)
                     assert poly_mul(q, p) == expected, (q, p)
                     assert poly_mul(p, q + [0, 0]) == expected, (p, q)
@@ -277,8 +337,7 @@ class TestMulBinomial:
             out[0] = 99
             assert p == [1, 2, 3]
 
-    def test_routing_skips_school_and_packed(self, monkeypatch):
-        # k = 1 would go to schoolbook, the larger k to the packed multiply
+    def test_routing_skips_the_packed_multiply(self, monkeypatch):
         dense = [random.Random(8).randint(-9, 9) for _ in range(600)] + [1]
         cases = [(dense, _binomial(-1, 1, k)) for k in (1, 64, 601, 1000)]
         cases.append(([7, 0, 1], _binomial(2, -3, 1)))
@@ -287,7 +346,6 @@ class TestMulBinomial:
         def general_path(*args):
             raise AssertionError("a two-term operand took a general multiply path")
 
-        monkeypatch.setattr(intpoly, "_mul_school", general_path)
         monkeypatch.setattr(intpoly, "_mul_packed", general_path)
         for (p, q), want in zip(cases, expected):
             assert poly_mul(p, q) == want
