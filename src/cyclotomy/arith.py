@@ -223,7 +223,8 @@ def _hoelder(n: int, q: int) -> int:
     if mu == 0:
         return 0
     quot, rem = divmod(totient(n), totient(reduced))
-    assert rem == 0, "totient quotient must be exact"
+    if rem:
+        raise ArithmeticError("totient quotient must be exact")
     return mu * quot
 
 

@@ -9,8 +9,13 @@ Every product of two operands with more than two terms runs through one
 Kronecker-substitution kernel: coefficients are packed into fixed-width
 slots of one big integer so the actual multiply runs inside CPython's long
 arithmetic.  The packed path is exact by construction (slot widths are sized
-from coefficient bounds) and is cross-checked against a naive oracle in the
-test suite.
+from coefficient bounds, rounded up to whole bytes) and is cross-checked
+against a naive oracle in the test suite.  The codec runs in C for slots of
+up to 64 bits: ``struct`` writes the coefficients as signed items, strided
+byte-slice copies narrow or widen those items to the slot size, and one XOR
+with a big integer holding the top bit of every slot converts between
+two's-complement slots and the signed packed value.  Wider slots take the
+same XOR rule but convert each coefficient with ``int.to_bytes``.
 
 Two-term operands ``c0 + c*X**k``, such as ``X**d - 1``, take linear-time
 routes at every size.  A product with one is ``c0*p + X**k*c*p``, built
@@ -104,46 +109,77 @@ def poly_sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
 # ---------------------------------------------------------------------------
 # multiplication
 
-_STRUCT_FMT = {16: "H", 32: "I", 64: "Q"}
+# Slots of up to 8 bytes travel as the signed struct item of the next size
+# up: (item size in bytes, struct code) by slot size in bytes.
+_STRUCT_ITEM = {
+    1: (1, "b"), 2: (2, "h"), 3: (4, "i"), 4: (4, "i"),
+    5: (8, "q"), 6: (8, "q"), 7: (8, "q"), 8: (8, "q"),
+}
+# The byte that sign-extends a two's-complement slot, by its top byte.
+_SIGN_FILL = bytes(128) + b"\xff" * 128
+
+
+def _top_bits(size: int, count: int) -> int:
+    """``2**(8*size - 1)`` in each of ``count`` slots of ``size`` bytes."""
+    return int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
 
 
 def _pack(p: Sequence[int], width: int) -> int:
-    """Evaluate ``p`` at ``2**width``; requires ``|coeff| < 2**(width-1)``."""
-    off = 1 << (width - 1)
-    code = _STRUCT_FMT.get(width)
-    if code is not None:
-        buf = struct.pack("<%d%s" % (len(p), code), *[c + off for c in p])
+    """Evaluate ``p`` at ``2**width``; requires ``|coeff| < 2**(width-1)``.
+
+    Each coefficient ``c`` goes into a slot of ``width // 8`` bytes as its
+    two's complement, and the buffer is read as one unsigned integer ``U``.
+    Flipping the top bit of a slot turns its two's complement into
+    ``c + 2**(width-1)``, so with ``M`` holding ``2**(width-1)`` in every
+    slot, ``(U ^ M) - M`` is the sum of ``c * 2**(width*j)``.
+    """
+    size = width // 8
+    n = len(p)
+    item = _STRUCT_ITEM.get(size)
+    if item is None:
+        buf = b"".join([c.to_bytes(size, "little", signed=True) for c in p])
     else:
-        size = width // 8
-        buf = b"".join((c + off).to_bytes(size, "little") for c in p)
-    val = int.from_bytes(buf, "little")
-    ones = ((1 << (width * len(p))) - 1) // ((1 << width) - 1)
-    return val - off * ones
+        isize, code = item
+        buf = struct.pack("<%d%s" % (n, code), *p)
+        if isize != size:  # keep the low ``size`` bytes of every item
+            items = buf
+            buf = bytearray(n * size)
+            for i in range(size):
+                buf[i::size] = items[i::isize]
+    top = _top_bits(size, n)
+    return (int.from_bytes(buf, "little") ^ top) - top
 
 
 def _unpack(val: int, width: int, count: int) -> list:
-    """Recover ``count`` signed slot values from a packed integer."""
-    off = 1 << (width - 1)
-    ones = ((1 << (width * count)) - 1) // ((1 << width) - 1)
-    # Offsetting every slot by 2**(width-1) makes all base-2**width digits
-    # nonnegative, so no borrow handling is needed.
-    u = val + off * ones
+    """Recover ``count`` signed slot values from a packed integer.
+
+    The inverse of ``_pack``: adding ``M`` makes every slot
+    ``c + 2**(width-1)``, which is nonnegative, so no borrow crosses a slot;
+    the XOR then leaves each slot's two's complement.
+    """
     size = width // 8
-    buf = u.to_bytes(count * size, "little")
-    code = _STRUCT_FMT.get(width)
-    if code is not None:
-        return [v - off for v in struct.unpack("<%d%s" % (count, code), buf)]
-    return [
-        int.from_bytes(buf[i * size : (i + 1) * size], "little") - off
-        for i in range(count)
-    ]
+    top = _top_bits(size, count)
+    buf = ((val + top) ^ top).to_bytes(count * size, "little")
+    item = _STRUCT_ITEM.get(size)
+    if item is None:
+        return [
+            int.from_bytes(buf[i : i + size], "little", signed=True)
+            for i in range(0, count * size, size)
+        ]
+    isize, code = item
+    if isize != size:  # widen every slot to an item, filling with its sign
+        slots = buf
+        buf = bytearray(count * isize)
+        for i in range(size):
+            buf[i::isize] = slots[i::size]
+        fill = slots[size - 1 :: size].translate(_SIGN_FILL)
+        for i in range(size, isize):
+            buf[i::isize] = fill
+    return list(struct.unpack("<%d%s" % (count, code), buf))
 
 
 def _slot_width(bound_bits: int) -> int:
-    # Prefer widths with a bulk struct codec; otherwise round up to bytes.
-    for w in (16, 32, 64):
-        if bound_bits <= w:
-            return w
+    """``bound_bits`` rounded up to whole bytes."""
     return (bound_bits + 7) // 8 * 8
 
 
@@ -459,6 +495,8 @@ def poly_str(p: Sequence[int], var: str = "X", max_terms: int | None = None) -> 
 
     With ``max_terms`` set, long polynomials are elided in the middle.
     """
+    if max_terms is not None and max_terms < 0:
+        raise ValueError("max_terms must be >= 0")
     p = trim(p)
     if not p:
         return "0"
@@ -476,7 +514,8 @@ def poly_str(p: Sequence[int], var: str = "X", max_terms: int | None = None) -> 
     if max_terms is not None and len(terms) > max_terms:
         keep = max_terms // 2
         elided = len(terms) - 2 * keep
-        terms = terms[:keep] + [("+", "... (%d terms elided)" % elided)] + terms[-keep:]
+        marker = ("+", "... (%d terms elided)" % elided)
+        terms = terms[:keep] + [marker] + terms[len(terms) - keep :]
     sign, body = terms[0]
     out = [body if sign == "+" else "-" + body]
     for sign, body in terms[1:]:

@@ -240,6 +240,12 @@ class TestRamanujanSum:
         with pytest.raises(arith.DefinitionResidualError):
             arith.ramanujan_sum(6, 1, "definition")
 
+    def test_hoelder_rejects_an_inexact_totient_quotient(self, monkeypatch):
+        # c_6(2): gcd 2, reduced index 3 with mu(3) = -1; 7 / 4 is inexact.
+        monkeypatch.setattr(arith, "totient", lambda n: n + 1)
+        with pytest.raises(ArithmeticError, match="totient quotient must be exact"):
+            arith._hoelder(6, 2)
+
 
 class TestPrimality:
     def test_against_sieve(self):

@@ -95,6 +95,44 @@ class TestMul:
                     assert intpoly._mul_packed(mono, other) == naive_mul(mono, other)
                     assert intpoly._mul_packed(other, mono) == naive_mul(other, mono)
 
+    def test_slot_width_is_whole_bytes(self):
+        for bits in range(1, 81):
+            assert intpoly._slot_width(bits) == 8 * -(-bits // 8)
+
+    def test_pack_unpack_round_trip_at_every_width(self):
+        rng = random.Random(8)
+        for width in range(8, 73, 8):
+            top = 2 ** (width - 1) - 1
+            edges = [top, -top, 1, -1, 0]
+            for values in (
+                edges,
+                [rng.randint(-top, top) for _ in range(37)],
+                [-top],
+                [rng.choice(edges) for _ in range(50)],
+            ):
+                packed = intpoly._pack(values, width)
+                assert packed == sum(c << (width * j) for j, c in enumerate(values))
+                assert intpoly._unpack(packed, width, len(values)) == values
+
+    def test_packed_path_at_every_slot_width(self):
+        # Heights are chosen so that the coefficient bound selects each
+        # width from 8 to 72 bits in turn.
+        rng = random.Random(72)
+        for width in range(8, 73, 8):
+            for plen, qlen, hq in ((1, 1, 1), (1, 30, 3), (12, 1, 1), (5, 9, 2),
+                                   (30, 30, 1), (6, 23, 5)):
+                hp = ((1 << (width - 2)) - 1) // (min(plen, qlen) * hq)
+                q = [rng.randint(-hq, hq) for _ in range(qlen - 1)] + [rng.choice((hq, -hq))]
+                for p in (
+                    [rng.randint(-hp, hp) for _ in range(plen - 1)] + [hp],
+                    [-hp] * plen,  # negative throughout
+                    [0] * (plen - 1) + [-hp],  # a monomial
+                ):
+                    bound = intpoly.poly_height(p) * intpoly.poly_height(q) * min(plen, qlen)
+                    assert intpoly._slot_width(bound.bit_length() + 2) == width
+                    assert intpoly._mul_packed(p, q) == naive_mul(p, q), (width, p, q)
+                    assert intpoly._mul_packed(q, p) == naive_mul(q, p), (width, p, q)
+
     def test_three_by_three_product_is_packed(self, monkeypatch):
         seen = []
         mul_packed = intpoly._mul_packed
@@ -549,3 +587,13 @@ class TestRendering:
         assert "terms elided" in text
         assert text.startswith("X^100")
         assert text.endswith("+ 1")
+
+    def test_elision_keeps_at_most_max_terms(self):
+        five = [1] * 5
+        assert poly_str(five, max_terms=0) == "... (5 terms elided)"
+        assert poly_str(five, max_terms=1) == "... (5 terms elided)"
+        assert poly_str(five, max_terms=2) == "X^4 + ... (3 terms elided) + 1"
+        assert poly_str(five, max_terms=3) == "X^4 + ... (3 terms elided) + 1"
+        assert poly_str(five, max_terms=5) == "X^4 + X^3 + X^2 + X + 1"
+        with pytest.raises(ValueError):
+            poly_str(five, max_terms=-1)
