@@ -19,9 +19,14 @@ same XOR rule but convert each coefficient with ``int.to_bytes``.
 
 Two-term operands ``c0 + c*X**k``, such as ``X**d - 1``, take linear-time
 routes at every size.  A product with one is ``c0*p + X**k*c*p``, built
-from slices and ``map``.  Exact division by one with ``c = ±1`` is a
-strided running sum.  Other large divisions by a divisor with a ±1 leading
-coefficient use a power-series inverse and a verification multiply.
+from slices and ``map``.  Exact division of a two-term dividend
+``c0 + c*X**d`` by ``±(X**k - 1)`` is the closed-form geometric series
+``±c*(1 + X**k + ... + X**(d-k))``, exact precisely when ``k`` divides ``d``
+and ``c0 == -c``; any other exact division by a two-term divisor with
+``c = ±1`` is a strided running sum.  Other large divisions by a divisor
+with a ±1 leading coefficient use a power-series inverse and a
+verification multiply.  Kernels read their operands in place and never
+copy one that is already canonical.
 
 Newton's identities, in both directions between coefficients and root
 power sums, are online convolutions: each new term needs the sum of
@@ -73,6 +78,17 @@ def trim(p: Sequence[int]) -> IntPoly:
     while n > 0 and p[n - 1] == 0:
         n -= 1
     return p[:n] if isinstance(p, list) else list(p[:n])
+
+
+def _canonical(p: Sequence[int]) -> IntPoly:
+    """``p`` itself if it is already a canonical list, else ``trim(p)``.
+
+    For kernels that only read their operands: a whole-list copy of a large
+    operand costs as much as a linear-time kernel's own work.
+    """
+    if type(p) is list and (not p or p[-1] != 0):
+        return p
+    return trim(p)
 
 
 def poly_degree(p: Sequence[int]) -> int:
@@ -185,7 +201,7 @@ def _slot_width(bound_bits: int) -> int:
 
 def _mul_packed(p: Sequence[int], q: Sequence[int]) -> list:
     bound = poly_height(p) * poly_height(q) * min(len(p), len(q))
-    width = _slot_width(bound.bit_length() + 2)
+    width = _slot_width(bound.bit_length() + 1)
     return _unpack(_pack(p, width) * _pack(q, width), width, len(p) + len(q) - 1)
 
 
@@ -214,7 +230,10 @@ def _mul_binomial(p: list, q: list) -> IntPoly:
     low = _scale(p, q[0])
     high = _scale(p, q[k])
     if k >= n:
-        return low + [0] * (k - n) + high
+        out = [0] * (n + k)
+        out[:n] = low
+        out[k:] = high
+        return out
     out = low[:k]
     out += map(add, islice(low, k, None), high)
     out += islice(high, n - k, None)
@@ -223,7 +242,7 @@ def _mul_binomial(p: list, q: list) -> IntPoly:
 
 def poly_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     """Exact product of two polynomials."""
-    p, q = trim(p), trim(q)
+    p, q = _canonical(p), _canonical(q)
     if not p or not q:
         return []
     if _is_two_term(q):
@@ -240,7 +259,7 @@ def poly_prod(factors: Iterable[Sequence[int]]) -> IntPoly:
     intermediate degrees and coefficient heights (and therefore packed slot
     widths) as small as possible.
     """
-    polys = [trim(f) for f in factors]
+    polys = [_canonical(f) for f in factors]
     if not polys:
         return [1]
     if any(not f for f in polys):
@@ -323,11 +342,24 @@ def _div_binomial(p: list, q: list) -> IntPoly:
     the remainder, so a zero ``s[:k]`` proves ``p == q*r`` exactly.  Linear
     time, in about ``min(k, len(p)/k)`` Python-level steps: slices, ``map``
     and ``accumulate`` do the per-coefficient work.
+
+    A two-term dividend ``c0p + c*X**d`` over ``X**k - 1`` (``b == -1``)
+    skips the sum.  Since ``X**k == 1`` modulo the divisor, the remainder is
+    ``c*X**(d % k) + c0p``, which is zero exactly when ``k`` divides ``d``
+    and ``c0p == -c``; the quotient is then the geometric series
+    ``ck*c*(1 + X**k + ... + X**(d-k))``, built by one list repetition.
     """
     k = len(q) - 1
     ck = q[k]
     b = ck * q[0]
     n = len(p)
+    if b == -1 and _is_two_term(p):
+        d = n - 1
+        if d % k or p[0] != -p[d]:
+            raise NotDivisibleError("nonzero remainder")
+        out = ([ck * p[d]] + [0] * (k - 1)) * (d // k)
+        del out[d - k + 1 :]  # the k - 1 zeros after the top term
+        return out
     step = add if b == -1 else (lambda acc, x: x - b * acc)
     s = list(p)  # s[n-k:] == p[n-k:] already: nothing lies above the top of p
     # k strided classes or about n/k blocks, whichever is fewer; a class
@@ -351,7 +383,7 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     Raises ``ZeroDivisionError`` if ``q`` is zero and ``NotDivisibleError``
     if ``q`` does not divide ``p`` over the integers.
     """
-    p, q = trim(p), trim(q)
+    p, q = _canonical(p), _canonical(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
     if not p:
@@ -373,12 +405,11 @@ def substitute_power(p: Sequence[int], m: int) -> IntPoly:
     """Return ``p(X**m)``."""
     if m < 1:
         raise ValueError("exponent must be >= 1")
-    p = trim(p)
+    p = _canonical(p)
     if not p or m == 1:
         return list(p)
     out = [0] * ((len(p) - 1) * m + 1)
-    for j, c in enumerate(p):
-        out[j * m] = c
+    out[::m] = p
     return out
 
 

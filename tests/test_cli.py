@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -297,3 +298,41 @@ def test_verify_bounds_admit_the_standard_sweeps(monkeypatch):
     for suite, extra, _checks in SWEEPS:
         args = cli.build_parser().parse_args(["verify", "--suite", suite, *extra])
         cli._check_verify_work(args.max_n, args.max_q, args.suite)
+
+
+# sha256 of the stdout of ``compute --n N --algorithm A --format json``, by N;
+# every algorithm must print exactly these bytes.  97969 = 313**2 and the
+# prime 199999 divide a two-term X**d - 1 by X**k - 1 at full size.
+_COMPUTE_JSON_SHA256 = {
+    1: "c8cbab6bb361fc5360ef7d195c9e5424185cc6852bcd0e30f4923fc85e895c40",
+    2: "a03f19d989f2724b63411eec20a20a5c89ec8a0c7e536bb091cd8431352ca88c",
+    105: "5efb8f451e1f2632b54bd631fdd642d11d9ffa42af1ec9a1bc4af33eaeb085e6",
+    2310: "034e85142a8882fb04f69a82e654ed03d5ea309f49d7497e5b02d15040fd5ae4",
+    15015: "7ddffafdffb6f5b9c8c33d1e98698c6e2109be56fbfebc1a23b7217e04276ad8",
+    21504: "01f798880a98159a5832c585d1a140ee599426534c0d309d3e2cc55011bd4624",
+    65535: "31d86bd76ea55acb779c677091f6e7f2acd1cd8d892c35e4b5b8e0792981fc59",
+    97969: "b7cbc4df16e1a30438fc9830872c7070583a500a12ee97f19e39b2abfc1d905c",
+    199999: "c91ccf8d674a357b41ef281eb574be9583eecdac2bdd130c2215e2fde455023f",
+}
+_OTHER_JSON_SHA256 = {
+    "verify --suite poly --max-n 300 --format json":
+        "7dcf9fcd9d15263e914fe132adb7ae350a1faa1da5952c6cd308eee21d15cb12",
+    "compose --n 15 --m 4096 --format json":
+        "e26bf75c997bc92446b4ae7d2c7c3d3b67aa66a9d4613a384ca81f4aea320860",
+}
+
+
+def test_json_output_bytes_are_pinned(capsys):
+    def digest(argv):
+        assert run_cli(argv) == 0
+        return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+    for n, want in _COMPUTE_JSON_SHA256.items():
+        for algorithm in cyclo.ALGORITHMS:
+            # newton_ramanujan alone takes seconds at the two largest indices
+            if algorithm == "newton_ramanujan" and n > 65535:
+                continue
+            argv = ["compute", "--n", str(n), "--algorithm", algorithm, "--format", "json"]
+            assert digest(argv) == want, argv
+    for command, want in _OTHER_JSON_SHA256.items():
+        assert digest(command.split()) == want, command

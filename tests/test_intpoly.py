@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -115,13 +116,15 @@ class TestMul:
                 assert intpoly._unpack(packed, width, len(values)) == values
 
     def test_packed_path_at_every_slot_width(self):
-        # Heights are chosen so that the coefficient bound selects each
-        # width from 8 to 72 bits in turn.
+        # A bound below 2**(w-1) fits a signed slot of w bits.  Heights are
+        # chosen so that the bound reaches up to 2**(w-1) - 1 and selects
+        # each width w from 8 to 72 bits in turn, at its edge.
         rng = random.Random(72)
         for width in range(8, 73, 8):
+            edge = (1 << (width - 1)) - 1
             for plen, qlen, hq in ((1, 1, 1), (1, 30, 3), (12, 1, 1), (5, 9, 2),
                                    (30, 30, 1), (6, 23, 5)):
-                hp = ((1 << (width - 2)) - 1) // (min(plen, qlen) * hq)
+                hp = edge // (min(plen, qlen) * hq)
                 q = [rng.randint(-hq, hq) for _ in range(qlen - 1)] + [rng.choice((hq, -hq))]
                 for p in (
                     [rng.randint(-hp, hp) for _ in range(plen - 1)] + [hp],
@@ -129,9 +132,20 @@ class TestMul:
                     [0] * (plen - 1) + [-hp],  # a monomial
                 ):
                     bound = intpoly.poly_height(p) * intpoly.poly_height(q) * min(plen, qlen)
-                    assert intpoly._slot_width(bound.bit_length() + 2) == width
+                    assert intpoly._slot_width(bound.bit_length() + 1) == width
                     assert intpoly._mul_packed(p, q) == naive_mul(p, q), (width, p, q)
                     assert intpoly._mul_packed(q, p) == naive_mul(q, p), (width, p, q)
+            # [h]*L squared: the middle coefficient is L*h*h, the bound itself
+            for length in (3, 7, 30):
+                h = isqrt(edge // length)
+                p = [h] * length
+                bound = length * h * h
+                assert intpoly._slot_width(bound.bit_length() + 1) == width
+                product = intpoly._mul_packed(p, p)
+                assert product[length - 1] == bound
+                assert product == naive_mul(p, p), (width, p)
+                neg = [-h] * length
+                assert intpoly._mul_packed(p, neg) == naive_mul(p, neg), (width, p)
 
     def test_three_by_three_product_is_packed(self, monkeypatch):
         seen = []
@@ -316,6 +330,76 @@ class TestDivBinomial:
         assert poly_exact_div(x_pow_minus_1, [-1, 1]) == [1] * 200003
 
 
+class TestTwoTermDividend:
+    # c0 + c*X**d over sign*(X**k - 1): divisible exactly when k | d and
+    # c0 == -c, and the quotient is then a geometric series in X**k.
+    def test_matches_long_division_exhaustively(self):
+        coeffs = (1, -1, 2, -2)
+        for d in range(1, 41):
+            for k in range(1, d + 1):
+                for sign in (1, -1):
+                    q = [-sign] + [0] * (k - 1) + [sign]
+                    for c0 in coeffs:
+                        for c in coeffs:
+                            p = [c0] + [0] * (d - 1) + [c]
+                            quot, rem = naive_divmod(p, q)
+                            if quot is None or rem:
+                                with pytest.raises(NotDivisibleError):
+                                    poly_exact_div(p, q)
+                            else:
+                                assert poly_exact_div(p, q) == trim(quot), (p, q)
+
+    def test_routing_skips_the_running_sum(self, monkeypatch):
+        def running_sum(*args):
+            raise AssertionError("a two-term dividend took the running sum")
+
+        # the per-class sum uses accumulate, the per-block sum map
+        monkeypatch.setattr(intpoly, "accumulate", running_sum)
+        monkeypatch.setattr(intpoly, "map", running_sum, raising=False)
+        for d, k in ((199999, 1), (97969, 313), (200000, 100000), (6, 6)):
+            x_pow_minus_1 = [-1] + [0] * (d - 1) + [1]
+            for sign in (1, -1):
+                q = [-sign] + [0] * (k - 1) + [sign]
+                series = ([sign] + [0] * (k - 1)) * (d // k)
+                assert poly_exact_div(x_pow_minus_1, q) == series[: d - k + 1]
+            with pytest.raises(NotDivisibleError):
+                poly_exact_div(x_pow_minus_1, [-1] + [0] * k + [1])
+            with pytest.raises(NotDivisibleError):
+                poly_exact_div([1] + x_pow_minus_1[1:], [-1] + [0] * (k - 1) + [1])
+
+
+class TestOperandsUntouched:
+    OPERANDS = [
+        [], [0, 0], [5], [1], [-1], [-1, 1], [1, 0, 0, 1], [2, 0, -3],
+        [1, 0, 1, 0, 0], [3, -1, 4, 1, 5, -9, 2, 6], (1, 2, 3, 0), (0, -1, 1),
+        [1] + [0] * 30 + [-1], [4, -3, 0, 2, 0, 0, 7] * 6,
+    ]
+
+    @staticmethod
+    def _check(fn, *operands):
+        before = [list(op) for op in operands]
+        out = fn(*operands)
+        assert all(out is not op for op in operands), (fn, operands)
+        assert [list(op) for op in operands] == before, (fn, operands)
+        return out
+
+    def test_products_and_quotients(self):
+        for p in self.OPERANDS:
+            for q in self.OPERANDS:
+                prod = self._check(poly_mul, p, q)
+                self._check(lambda *fs: poly_prod(fs), p, q)
+                if any(q):
+                    assert self._check(poly_exact_div, prod, q) == trim(p)
+            self._check(lambda f: poly_prod([f]), p)
+            for q in ([1], [-1]):
+                self._check(poly_exact_div, p, q)
+
+    def test_substitute_power(self):
+        for p in self.OPERANDS:
+            for m in (1, 2, 5):
+                self._check(lambda f: substitute_power(f, m), p)
+
+
 class TestSeriesInverse:
     @staticmethod
     def _check(b, k):
@@ -408,6 +492,20 @@ class TestSubstituteEval:
     def test_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
             substitute_power([1, 1], 0)
+
+    def test_matches_naive_substitution(self):
+        rng = random.Random(17)
+        polys = [(), [], [0, 0], [7], (3, 0, -2), [0, 1], [1, 2, 0, 0]]
+        polys += [[rng.randint(-9, 9) for _ in range(size)] + [1] for size in (1, 5, 40)]
+        for p in polys:
+            coeffs = trim(p)
+            for m in range(1, 8):
+                naive = [0] * ((len(coeffs) - 1) * m + 1) if coeffs else []
+                for j, c in enumerate(coeffs):
+                    naive[j * m] = c
+                out = substitute_power(p, m)
+                assert out == naive, (p, m)
+                assert type(out) is list and out is not p
 
     def test_eval_examples(self):
         assert poly_eval([-1, 1], 1) == 0
