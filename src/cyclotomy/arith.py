@@ -3,7 +3,8 @@
 Factorization (trial division by the primes below 1024, then Brent's cycle
 variant of Pollard rho with a deterministic Miller-Rabin primality test for
 any part left at or above 1024**2), divisors, the Mobius and Euler totient
-functions, and Ramanujan sums by several closed forms.
+functions, and Ramanujan sums by several closed forms and by a floating-point
+cosine sum, which sieves the residues coprime to n per call and caches nothing.
 
 All functions are pure and deterministic; the internal memo tables only
 cache results of pure computations, so concurrent use is safe.
@@ -188,27 +189,14 @@ def is_coprime(a: int, b: int) -> bool:
 # ---------------------------------------------------------------------------
 # Ramanujan sums
 
-_COS_TABLE_MAX = 4096
-
-
-@lru_cache(maxsize=1024)
-def _coprime_residues(n: int) -> tuple:
-    return tuple(k for k in range(1, n + 1) if gcd(k, n) == 1)
-
-
-@lru_cache(maxsize=512)
-def _cos_table(n: int) -> tuple:
-    step = tau / n
-    return tuple(cos(step * r) for r in range(n))
-
-
 def _cosine_sum(n: int, q: int) -> float:
-    """Sum of cos(2*pi*k*q/n) over 1 <= k <= n coprime to n, in floating point."""
-    ks = _coprime_residues(n)
-    if n <= _COS_TABLE_MAX:
-        table = _cos_table(n)
-        return fsum(table[k * q % n] for k in ks)
-    return fsum(cos(tau * (k * q % n) / n) for k in ks)
+    """Sum of cos(2*pi*k*q/n) over 0 <= k < n coprime to n, in floating point."""
+    # Sieve the residues coprime to n; c_1 keeps k = 0, so c_1(q) = 1.
+    coprime = bytearray([1]) * n
+    for p, _ in _factorize(n):
+        coprime[::p] = bytes(len(range(0, n, p)))
+    step = tau / n
+    return fsum(cos(step * (k * q % n)) for k in compress(range(n), coprime))
 
 
 def _kluyver(n: int, q: int) -> int:

@@ -33,10 +33,14 @@ _SUITES = ("poly", "totient", "ramanujan", "coeff", "all")
 #: ``verify`` (and so ``all``) build the same Phi_n and take the same cap.
 MAX_TABLE_N = 5_000
 
-#: Most (n, m, q) points the ``ramanujan`` suite of ``verify`` may check:
-#: one per pair n*m <= --max-n and q <= --max-q, that is
-#: sum(N // n for n <= N) * (max_q + 1) for N = --max-n.
+#: Most (n, m, q) points the ``ramanujan`` suite of ``verify`` may check, one
+#: per pair n*m <= N = --max-n and q <= --max-q, and most cosine terms its
+#: ``definition`` oracle may sum, phi(n*m) <= n*m per point: that is
+#: sum(N // n for n <= N) * (max_q + 1) points and at most
+#: sum(n * T(N // n) for n <= N) * (max_q + 1) terms, T(k) = k*(k + 1)/2.
+#: The largest accepted sweeps take about a minute.
 MAX_RAMANUJAN_POINTS = 1_000_000
+MAX_RAMANUJAN_TERMS = 10**9
 
 
 def _check_cli_n(value: int, name: str, cap: int = MAX_CLI_N) -> None:
@@ -137,12 +141,18 @@ def _check_verify_work(max_n: int, max_q: int, suite: str) -> None:
     if max_q < 0:
         raise ValueError("--max-q must be >= 0")
     if suite in ("ramanujan", "all"):
-        points = sum(max_n // n for n in range(1, max_n + 1)) * (max_q + 1)
-        if points > MAX_RAMANUJAN_POINTS:
-            raise ValueError(
-                "--suite %s would check %d (n, m, q) points, more than %d; "
-                "lower --max-n or --max-q" % (suite, points, MAX_RAMANUJAN_POINTS)
-            )
+        quotients = [max_n // n for n in range(1, max_n + 1)]
+        points = sum(quotients) * (max_q + 1)
+        terms = sum(n * k * (k + 1) // 2 for n, k in enumerate(quotients, 1)) * (max_q + 1)
+        for work, count, cap in (
+            ("check %d (n, m, q) points", points, MAX_RAMANUJAN_POINTS),
+            ("sum up to %d cosine terms", terms, MAX_RAMANUJAN_TERMS),
+        ):
+            if count > cap:
+                raise ValueError(
+                    "--suite %s would %s, more than %d; lower --max-n or --max-q"
+                    % (suite, work % count, cap)
+                )
 
 
 def _cmd_verify(args) -> int:
@@ -191,23 +201,26 @@ def _cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ValueError("--algorithms must name at least one algorithm")
-    for a in algorithms:
+    for i, a in enumerate(algorithms):
         if a not in cyclo.ALGORITHMS:
             raise ValueError(
                 "unknown algorithm %r; expected one of %s" % (a, ", ".join(cyclo.ALGORITHMS))
             )
-    lines = ["n,algorithm,micros,degree,height"]
-    for n in range(1, args.max_n + 1):
-        for a in algorithms:
-            start = time.perf_counter_ns()
-            result = cyclo.cyclotomic(n, a)
-            micros = (time.perf_counter_ns() - start) // 1000
-            lines.append(
-                "%d,%s,%d,%d,%s"
-                % (n, a, micros, len(result.poly) - 1, intpoly.poly_height(result.poly))
-            )
-    _write_out(args.out, "\n".join(lines) + "\n")
-    print("wrote %d rows to %s" % (len(lines) - 1, args.out), file=sys.stderr)
+        if a in algorithms[:i]:
+            raise ValueError("--algorithms names %r more than once" % a)
+    # One row at a time, as in table, so memory stays bounded by one Phi_n.
+    with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        fh.write("n,algorithm,micros,degree,height\n")
+        for n in range(1, args.max_n + 1):
+            for a in algorithms:
+                start = time.perf_counter_ns()
+                result = cyclo.cyclotomic(n, a)
+                micros = (time.perf_counter_ns() - start) // 1000
+                fh.write(
+                    "%d,%s,%d,%d,%s\n"
+                    % (n, a, micros, len(result.poly) - 1, intpoly.poly_height(result.poly))
+                )
+    print("wrote %d rows to %s" % (args.max_n * len(algorithms), args.out), file=sys.stderr)
     return 0
 
 
@@ -227,11 +240,6 @@ def _cmd_table(args) -> int:
         fh.write("]\n")
     print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)
     return 0
-
-
-def _write_out(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 _TABLE_N_HELP = "every n from 1 to this, at most %d" % MAX_TABLE_N
@@ -285,8 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
         "is at most %d for the poly and coeff suites and for all, which build "
         "every Phi_n up to it, and at most %d otherwise.  The ramanujan suite, "
         "and all, check sum(N // n for n <= N) * (max_q + 1) points for N = "
-        "--max-n, at most %d.  Larger sweeps exit 2 before any work."
-        % (MAX_TABLE_N, MAX_CLI_N, MAX_RAMANUJAN_POINTS),
+        "--max-n, at most %d, and sum at most (max_q + 1) * sum(n * T(N // n) for "
+        "n <= N) cosine terms, T(k) = k*(k + 1)/2, at most %d.  Larger sweeps "
+        "exit 2 before any work."
+        % (MAX_TABLE_N, MAX_CLI_N, MAX_RAMANUJAN_POINTS, MAX_RAMANUJAN_TERMS),
     )
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--max-q", type=int, default=50)
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time algorithms per n and write a CSV")
     p.add_argument("--max-n", type=int, required=True, help=_TABLE_N_HELP)
-    p.add_argument("--algorithms", required=True, help="comma-separated algorithm names")
+    p.add_argument("--algorithms", required=True, help="comma-separated names, none repeated")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=_cmd_bench)
 

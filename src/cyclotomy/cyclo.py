@@ -83,8 +83,8 @@ def _mobius_product(n: int) -> list:
             num.append(d)
         elif mu == -1:
             den.append(d)
-    poly = [1]
-    for d in num:
+    poly = _x_pow_minus_1(num[0])  # num holds d = n, so it is never empty
+    for d in num[1:]:
         poly = intpoly.poly_mul(poly, _x_pow_minus_1(d))
     for d in reversed(den):
         poly = intpoly.poly_exact_div(poly, _x_pow_minus_1(d))

@@ -195,15 +195,15 @@ def check_ramanujan_identities(n: int, m: int, q: int) -> list:
     rhs = m * arith.ramanujan_sum(n, q // m) if q % m == 0 else 0
     reports.append(_equal("ramanujan_divisor_sum", params, lhs, rhs))
 
+    # Kluyver's form is the default method, so one value of c_mn(q) serves
+    # both the inversion and the cross-formula check.
+    kluyver = arith.ramanujan_sum(m * n, q, "kluyver")
     inv = sum(
         d * arith.ramanujan_sum(n, q // d) * arith.mobius(m // d)
         for d in arith.divisors(gcd(m, q))
     )
-    reports.append(
-        _equal("ramanujan_inversion", params, arith.ramanujan_sum(m * n, q), inv)
-    )
+    reports.append(_equal("ramanujan_inversion", params, kluyver, inv))
 
-    kluyver = arith.ramanujan_sum(m * n, q, "kluyver")
     hoelder = arith.ramanujan_sum(m * n, q, "hoelder")
     try:
         definition = arith.ramanujan_sum(m * n, q, "definition")

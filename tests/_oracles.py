@@ -82,6 +82,14 @@ def naive_ramanujan(n, q):
     return int(nearest)
 
 
+def naive_cosine_sum(n, q):
+    """Sum of cos(2*pi*k*q/n) over 1 <= k <= n coprime to n, in floating point,
+    each angle taken as (tau / n) * (k*q mod n) and the terms summed by fsum."""
+    from math import cos, fsum, tau
+
+    return fsum(cos(tau / n * (k * q % n)) for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
 def naive_power_sums(p, q_max):
     """Power sums S_0 .. S_q_max of the roots of monic p, by the scalar
     Newton recurrence: n**2/2 products, one index at a time."""

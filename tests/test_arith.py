@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 from cyclotomy import arith
 
-from _oracles import naive_divisors, naive_mobius, naive_ramanujan, naive_totient
+from _oracles import (
+    naive_cosine_sum,
+    naive_divisors,
+    naive_mobius,
+    naive_ramanujan,
+    naive_totient,
+)
 
 
 class TestFactorize:
@@ -234,6 +241,30 @@ class TestRamanujanSum:
             for q in (0, 1, 360, 5039):
                 value = arith._cosine_sum(n, q)
                 assert abs(value - round(value)) < 1e-6
+
+    @pytest.mark.parametrize(
+        "n",
+        # 1, 2, primes, prime powers, either side of 4096 and composites to 20000
+        [1, 2, 3, 97, 4093, 19997, 2187, 4096, 15625, 16129, 4097, 2310, 18018, 20000],
+    )
+    def test_cosine_sum_is_bit_identical_to_the_oracle(self, n):
+        for q in (0, 1, 2, 7, n - 1, n, 3 * n + 2, 10**18, 2**63):
+            value = arith._cosine_sum(n, q)
+            assert value == naive_cosine_sum(n, q), (n, q)
+            assert round(value) == arith.ramanujan_sum(n, q, "kluyver"), (n, q)
+
+    def test_definition_retains_no_memory(self):
+        # each call sieves n transient bytes and keeps nothing but the
+        # factorization of n
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for n in range(15000, 20000, 167):
+                arith.ramanujan_sum(n, 7, "definition")
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 2**20, retained
 
     def test_definition_residual_error(self, monkeypatch):
         monkeypatch.setattr(arith, "_cosine_sum", lambda n, q: 0.5)

@@ -98,6 +98,16 @@ def test_bench_unknown_algorithm(tmp_path):
     out = tmp_path / "bench.csv"
     assert run_cli(["bench", "--max-n", "5", "--algorithms", "magic",
                     "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_bench_rejects_repeated_algorithms(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    for names in ("recursive,radical,recursive", ",".join(["recursive"] * 10000)):
+        assert run_cli(["bench", "--max-n", "3", "--algorithms", names,
+                        "--out", str(out)]) == 2
+        assert "--algorithms names 'recursive' more than once" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_table_json(tmp_path):
@@ -279,6 +289,19 @@ def test_verify_bounds_ramanujan_points(capsys):
         assert "would check 14000000014 (n, m, q) points" in captured.err
     assert run_cli(["verify", "--max-n", "200000", "--max-q", "0",
                     "--suite", "ramanujan"]) == 2
+    assert time.perf_counter() - start < 10
+
+
+def test_verify_bounds_ramanujan_cosine_terms(capsys):
+    # within the point cap, but the cosine-sum oracle alone would run for
+    # many minutes: sum(n * T(N // n)) is 2.1*10**9 at 20000, 4.5*10**10 at 86763
+    start = time.perf_counter()
+    for max_n, terms in (("20000", 2111951377), ("86763", 45264152619)):
+        args = ["verify", "--max-n", max_n, "--max-q", "0", "--suite", "ramanujan"]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "would sum up to %d cosine terms, more than 1000000000" % terms in captured.err
     assert time.perf_counter() - start < 10
 
 

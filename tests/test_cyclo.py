@@ -68,6 +68,15 @@ class TestCyclotomic:
             monkeypatch.setattr(intpoly, name, general_path)
         assert cyclotomic(255255, "mobius_product").poly == expected
 
+    def test_mobius_product_starts_from_its_first_factor(self, monkeypatch):
+        # at a prime p the only numerator factor is X**p - 1, so Phi_p is
+        # one division and no multiply
+        calls = []
+        real = intpoly.poly_mul
+        monkeypatch.setattr(intpoly, "poly_mul", lambda a, b: calls.append(1) or real(a, b))
+        assert cyclo._mobius_product(199999) == [1] * 199999
+        assert calls == []
+
     @pytest.mark.parametrize("n", [21504, 28224, 27000, 30030])
     def test_recursive_at_mixed_indices(self, n):
         # 21504 = 2**10*3*7, 28224 = 2**6*3**2*7**2, 27000 = 2**3*3**3*5**3

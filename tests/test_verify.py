@@ -1,6 +1,8 @@
+import hashlib
+
 import pytest
 
-from cyclotomy import cyclo, intpoly, verify
+from cyclotomy import arith, cyclo, intpoly, verify
 from cyclotomy.verify import (
     CheckReport,
     check_coefficient_facts,
@@ -193,6 +195,41 @@ class TestSweeps:
     def test_ramanujan_sweep_small(self):
         result = verify.sweep_ramanujan(40, 20)
         assert result.passed
+
+    # A corrupted method's failure list from sweep_ramanujan(30, 6): the
+    # number of failures and the sha256 of repr() of its (label, params,
+    # witness) triples, recorded before the sweep evaluated c_mn(q) by
+    # Kluyver once per check instead of twice.
+    _CORRUPTED_SWEEP = {
+        "kluyver": (111, "9db54170daec9817e28ac4feeffd7d57d5c50850ce284d8980b07f41ea0486a7"),
+        "hoelder": (16, "20d3d4d48f517824418163685cd2b7fb299f6eb1d66efa1975b52ee597270712"),
+        "definition": (16, "d56c259fd4d3f293c2d799d227f1369682455c2d7f21dbb2fea1be35b758502c"),
+    }
+
+    @pytest.mark.parametrize("bad", sorted(_CORRUPTED_SWEEP))
+    def test_ramanujan_sweep_failures_under_a_corrupted_method(self, monkeypatch, bad):
+        real = arith.ramanujan_sum
+        shift = {(6, 2): 1, (12, 5): -3, (30, 0): 2}
+
+        def corrupted(n, q, method="kluyver"):
+            value = real(n, q, method)
+            if method == bad and (n, q) in shift:
+                value += shift[n, q]
+            return value
+
+        monkeypatch.setattr(arith, "ramanujan_sum", corrupted)
+        result = verify.sweep_ramanujan(30, 6)
+        failures = [(f.identity_name, f.params, f.witness) for f in result.failures]
+        assert result.checks == 2492
+        assert (len(failures), hashlib.sha256(repr(failures).encode()).hexdigest()) == (
+            self._CORRUPTED_SWEEP[bad]
+        )
+        assert (
+            "ramanujan_method_agreement",
+            (("n", 1), ("m", 30), ("q", 0)),
+            "kluyver = %d; hoelder = %d; definition = %d"
+            % tuple(8 + 2 * (m == bad) for m in ("kluyver", "hoelder", "definition")),
+        ) in failures
 
     def test_coefficient_sweep_small(self):
         assert verify.sweep_coefficients(150).passed
