@@ -34,11 +34,12 @@ _SUITES = ("poly", "totient", "ramanujan", "coeff", "all")
 MAX_TABLE_N = 5_000
 
 #: Most (n, m, q) points the ``ramanujan`` suite of ``verify`` may check, one
-#: per pair n*m <= N = --max-n and q <= --max-q, and most cosine terms its
-#: ``definition`` oracle may sum, phi(n*m) <= n*m per point: that is
+#: per pair n*m <= N = --max-n and q <= --max-q, and most cosine terms of its
+#: ``definition`` oracle, counted as phi(n*m) <= n*m per point: that is
 #: sum(N // n for n <= N) * (max_q + 1) points and at most
 #: sum(n * T(N // n) for n <= N) * (max_q + 1) terms, T(k) = k*(k + 1)/2.
-#: The largest accepted sweeps take about a minute.
+#: The largest accepted sweeps take about half a minute: (2000, 50) 31 s,
+#: (1, 999999) 20 s and (14001, 0) 15 s (Python 3.11, 2 vCPUs).
 MAX_RAMANUJAN_POINTS = 1_000_000
 MAX_RAMANUJAN_TERMS = 10**9
 
@@ -48,27 +49,20 @@ def _check_cli_n(value: int, name: str, cap: int = MAX_CLI_N) -> None:
         raise ValueError("%s must be in [1, %d], got %d" % (name, cap, value))
 
 
-def _coeff_strings(poly) -> list:
-    return [str(c) for c in poly]
-
-
 def _dump(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
+
+
+def _poly_record(poly, **head) -> str:
+    """The JSON text of ``head``'s fields, then the degree and coefficients of ``poly``."""
+    return _dump({**head, "degree": len(poly) - 1, "coefficients": [str(c) for c in poly]})
 
 
 def _cmd_compute(args) -> int:
     _check_cli_n(args.n, "--n")
     result = cyclo.cyclotomic(args.n, args.algorithm)
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "n": result.n,
-                    "degree": len(result.poly) - 1,
-                    "coefficients": _coeff_strings(result.poly),
-                }
-            )
-        )
+        print(_poly_record(result.poly, n=result.n))
     else:
         print("Phi_%d(X) = %s" % (result.n, intpoly.poly_str(result.poly)))
     return 0
@@ -86,16 +80,7 @@ def _cmd_compose(args) -> int:
     except cyclo.NotCoprimeError:
         raise ValueError("n and m must be coprime")
     if args.format == "json":
-        print(
-            _dump(
-                {
-                    "n": args.n,
-                    "m": args.m,
-                    "degree": len(poly) - 1,
-                    "coefficients": _coeff_strings(poly),
-                }
-            )
-        )
+        print(_poly_record(poly, n=args.n, m=args.m))
     else:
         print("Phi_%d(X^%d) = %s" % (args.n, args.m, intpoly.poly_str(poly)))
     return 0
@@ -231,12 +216,9 @@ def _cmd_table(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         fh.write("[")
         for n in range(1, args.max_n + 1):
-            poly = cyclo.cyclotomic_poly(n)
             if n > 1:
                 fh.write(",")
-            fh.write(
-                _dump({"n": n, "degree": len(poly) - 1, "coefficients": _coeff_strings(poly)})
-            )
+            fh.write(_poly_record(cyclo.cyclotomic_poly(n), n=n))
         fh.write("]\n")
     print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)
     return 0

@@ -5,7 +5,11 @@ Each ``check_*`` function evaluates both sides of a family of identities at
 concrete parameters and returns :class:`CheckReport` objects.  Failures are
 data, not exceptions: a failed report carries a witness rendering of the two
 unequal sides, so parameter sweeps always run to completion.  The ``sweep_*``
-helpers iterate the checks over the standard parameter ranges.
+helpers iterate the checks over the standard parameter ranges, through the
+same code as the ``check_*`` functions, and compute each value shared by many
+points once: the fundamental product and the totient divisor sum once per n,
+and each Ramanujan sum c_N(q) once per method, from a table that lives as
+long as the sweep.
 
 The dual Mobius inversion ``Phi_nm = prod_{d|m} Phi_n(X^d)**mu(m/d)`` is a
 quotient, but it is checked as a product, ``prod(num) == prod(den) * Phi_nm``:
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator
 
 from . import arith, cyclo, intpoly
 
@@ -69,6 +72,14 @@ def _equal(name: str, params: tuple, lhs, rhs) -> CheckReport:
     if lhs == rhs:
         return CheckReport(name, params, True)
     witness = "left = %s; right = %s" % (_render(lhs), _render(rhs))
+    return CheckReport(name, params, False, witness)
+
+
+def _agree(name: str, params: tuple, values) -> CheckReport:
+    # ``values`` holds (label, int) pairs that must all be equal.
+    if len({v for _, v in values}) == 1:
+        return CheckReport(name, params, True)
+    witness = "; ".join("%s = %d" % pair for pair in values)
     return CheckReport(name, params, False, witness)
 
 
@@ -144,15 +155,14 @@ def check_totient_identities(n: int, m: int) -> list:
     """Check the divisor-sum and multiplicativity identities for the totient."""
     arith._check_index(n)
     arith._check_index(m, "m")
+    return _totient_checks(n, m, sum(arith.totient(d) for d in arith.divisors(n)))
+
+
+def _totient_checks(n: int, m: int, divisor_sum: int) -> list:
+    # ``divisor_sum`` is that of phi(d) over d | n, which a sweep computes
+    # once per n.
     params = (("n", n), ("m", m))
-    reports = [
-        _equal(
-            "totient_divisor_sum",
-            params,
-            sum(arith.totient(d) for d in arith.divisors(n)),
-            n,
-        )
-    ]
+    reports = [_equal("totient_divisor_sum", params, divisor_sum, n)]
     if gcd(n, m) == 1:
         reports.append(
             _equal(
@@ -188,48 +198,49 @@ def check_ramanujan_identities(n: int, m: int, q: int) -> list:
         raise ValueError("q must be >= 0, got %r" % (q,))
     if gcd(n, m) != 1:
         raise ValueError("n and m must be coprime, got n=%d, m=%d" % (n, m))
+    return _ramanujan_checks(n, m, q, _ramanujan_value)
+
+
+def _ramanujan_value(n: int, q: int, method: str):
+    # c_n(q) by ``method``, or the residual error the definition raised.
+    try:
+        return arith.ramanujan_sum(n, q, method)
+    except arith.DefinitionResidualError as exc:
+        return exc
+
+
+def _ramanujan_checks(n: int, m: int, q: int, c) -> list:
+    # ``c(N, q, method)`` is _ramanujan_value, or a sweep's table lookup.
     params = (("n", n), ("m", m), ("q", q))
-    reports = []
+    divisors = arith.divisors(m)
+    terms = [c(d * n, q, "kluyver") for d in divisors]
+    rhs = m * c(n, q // m, "kluyver") if q % m == 0 else 0
+    reports = [_equal("ramanujan_divisor_sum", params, sum(terms), rhs)]
 
-    lhs = sum(arith.ramanujan_sum(d * n, q) for d in arith.divisors(m))
-    rhs = m * arith.ramanujan_sum(n, q // m) if q % m == 0 else 0
-    reports.append(_equal("ramanujan_divisor_sum", params, lhs, rhs))
-
-    # Kluyver's form is the default method, so one value of c_mn(q) serves
-    # both the inversion and the cross-formula check.
-    kluyver = arith.ramanujan_sum(m * n, q, "kluyver")
+    # The d = m term is c_mn(q) by Kluyver, which the inversion and the
+    # cross-formula check compare too.
+    kluyver = terms[-1]
     inv = sum(
-        d * arith.ramanujan_sum(n, q // d) * arith.mobius(m // d)
+        d * c(n, q // d, "kluyver") * arith.mobius(m // d)
         for d in arith.divisors(gcd(m, q))
     )
     reports.append(_equal("ramanujan_inversion", params, kluyver, inv))
 
-    hoelder = arith.ramanujan_sum(m * n, q, "hoelder")
-    try:
-        definition = arith.ramanujan_sum(m * n, q, "definition")
-    except arith.DefinitionResidualError as exc:
+    hoelder = c(m * n, q, "hoelder")
+    definition = c(m * n, q, "definition")
+    if isinstance(definition, arith.DefinitionResidualError):
         reports.append(
-            CheckReport("ramanujan_method_agreement", params, False, str(exc))
+            CheckReport("ramanujan_method_agreement", params, False, str(definition))
         )
     else:
-        if kluyver == hoelder == definition:
-            reports.append(CheckReport("ramanujan_method_agreement", params, True))
-        else:
-            reports.append(
-                CheckReport(
-                    "ramanujan_method_agreement",
-                    params,
-                    False,
-                    "kluyver = %d; hoelder = %d; definition = %d"
-                    % (kluyver, hoelder, definition),
-                )
-            )
+        values = (("kluyver", kluyver), ("hoelder", hoelder), ("definition", definition))
+        reports.append(_agree("ramanujan_method_agreement", params, values))
 
     reports.append(
         _equal(
             "ramanujan_degree_reduction",
             params,
-            sum(arith.ramanujan_sum(d * n, 0) for d in arith.divisors(m)),
+            sum(c(d * n, 0, "kluyver") for d in divisors),
             m * arith.totient(n),
         )
     )
@@ -254,20 +265,12 @@ def check_coefficient_facts(n: int) -> list:
         _equal("subleading_coefficient", params, poly[degree - 1], minus_mu),
         _equal("palindrome_symmetry", params, poly, poly[::-1]),
     ]
-    s1 = intpoly.power_sums(poly, 1)[1]
-    mu = arith.mobius(n)
-    c1 = arith.ramanujan_sum(n, 1)
-    if s1 == mu == c1:
-        reports.append(CheckReport("first_power_sum", params, True))
-    else:
-        reports.append(
-            CheckReport(
-                "first_power_sum",
-                params,
-                False,
-                "S_1 = %d; mu(n) = %d; c_n(1) = %d" % (s1, mu, c1),
-            )
-        )
+    values = (
+        ("S_1", intpoly.power_sums(poly, 1)[1]),
+        ("mu(n)", arith.mobius(n)),
+        ("c_n(1)", arith.ramanujan_sum(n, 1)),
+    )
+    reports.append(_agree("first_power_sum", params, values))
     return reports
 
 
@@ -287,12 +290,6 @@ class SweepResult:
         return not self.failures
 
 
-def _pairs(bound: int) -> Iterator:
-    for n in range(1, bound + 1):
-        for m in range(1, bound // n + 1):
-            yield n, m
-
-
 def _collect(result: SweepResult, reports: list) -> None:
     result.checks += len(reports)
     result.failures.extend(r for r in reports if not r.passed)
@@ -310,21 +307,36 @@ def sweep_polynomial(max_n: int) -> SweepResult:
 
 
 def sweep_totient(max_n: int) -> SweepResult:
-    """Run :func:`check_totient_identities` over coprime pairs with n*m <= max_n."""
+    """Run the checks of :func:`check_totient_identities` over coprime pairs with
+    n*m <= max_n, computing the divisor sum of phi once per n."""
     result = SweepResult("totient", 0, [])
-    for n, m in _pairs(max_n):
-        if gcd(n, m) == 1:
-            _collect(result, check_totient_identities(n, m))
+    for n in range(1, max_n + 1):
+        divisor_sum = sum(arith.totient(d) for d in arith.divisors(n))
+        for m in range(1, max_n // n + 1):
+            if gcd(n, m) == 1:
+                _collect(result, _totient_checks(n, m, divisor_sum))
     return result
 
 
 def sweep_ramanujan(max_n: int, max_q: int) -> SweepResult:
-    """Run :func:`check_ramanujan_identities` over coprime n*m <= max_n, q <= max_q."""
+    """Run the checks of :func:`check_ramanujan_identities` over coprime
+    n*m <= max_n and q <= max_q, evaluating each c_N(q) once per method."""
+    # table[method][N][q] for 1 <= N <= max_n and 0 <= q <= max_q; the pair
+    # (N, 1) reads every entry, so none is evaluated in vain.
+    table = {
+        method: [None] + [
+            [_ramanujan_value(N, q, method) for q in range(max_q + 1)]
+            for N in range(1, max_n + 1)
+        ]
+        for method in ("kluyver", "hoelder", "definition")
+    }
+    c = lambda N, q, method: table[method][N][q]
     result = SweepResult("ramanujan", 0, [])
-    for n, m in _pairs(max_n):
-        if gcd(n, m) == 1:
-            for q in range(max_q + 1):
-                _collect(result, check_ramanujan_identities(n, m, q))
+    for n in range(1, max_n + 1):
+        for m in range(1, max_n // n + 1):
+            if gcd(n, m) == 1:
+                for q in range(max_q + 1):
+                    _collect(result, _ramanujan_checks(n, m, q, c))
     return result
 
 

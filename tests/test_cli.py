@@ -342,6 +342,38 @@ _OTHER_JSON_SHA256 = {
         "7dcf9fcd9d15263e914fe132adb7ae350a1faa1da5952c6cd308eee21d15cb12",
     "compose --n 15 --m 4096 --format json":
         "e26bf75c997bc92446b4ae7d2c7c3d3b67aa66a9d4613a384ca81f4aea320860",
+    # the four verify sweeps of perfbench/workloads.py, whole
+    "verify --suite coeff --max-n 2000 --format json":
+        "600a02eb8abd5263503454c096410395b2c71a869a4e409d8bd1cbf9b75b9d7f",
+    "verify --suite poly --max-n 500 --format json":
+        "29837b8aee7a174bd24194e7321fc73209509cfc8d6817734ffa6bd404386b30",
+    "verify --suite ramanujan --max-n 110 --max-q 40 --format json":
+        "c11ab7010000f5eb0e4f9909b7685dbb1832d5461e80526c5d6b517e5dce7a15",
+    "verify --suite totient --max-n 13000 --format json":
+        "f447a610c63b95e9d44a58b83612ace86470b33107d88bdb40d8302fa4d4e2df",
+    # text output, which is not JSON but is pinned the same way
+    "verify --suite all --max-n 60 --max-q 10 --format text":
+        "90116a1c002d7088fe704ba9b3ede5f2bc80f5683b233ee9573778a4497ead59",
+    "ramanujan --n 360 --q 7 --method kluyver --format json":
+        "1d9fec13b7ffec9b096c65488b3c7002d7e4fa8113757834b7bfa64ee4aea6e9",
+    "ramanujan --n 360 --q 7 --method hoelder --format json":
+        "fbc2676d9bc55c4aac0691407f8a6697f6f5aad3a4dcac5c5bf954c2b0d1c2ec",
+    "ramanujan --n 360 --q 7 --method newton --format json":
+        "b1c85193d5f02b618747001eaddedf630d08621a952987c182322039b478644c",
+    "ramanujan --n 360 --q 7 --method definition --format json":
+        "8ca6b872dc6d2f25d74ec97e994f71a690997ef207516acac46d073f1fe6d485",
+    "ramanujan --n 360 --q 7 --method kluyver --format text":
+        "9f8b7f5d4f99b393ee60f03b67eaba2e5d4e768141caaa25b540619abdab6a91",
+    "ramanujan --n 360 --q 7 --method hoelder --format text":
+        "9f8b7f5d4f99b393ee60f03b67eaba2e5d4e768141caaa25b540619abdab6a91",
+    "ramanujan --n 360 --q 7 --method newton --format text":
+        "9f8b7f5d4f99b393ee60f03b67eaba2e5d4e768141caaa25b540619abdab6a91",
+    "ramanujan --n 360 --q 7 --method definition --format text":
+        "9f8b7f5d4f99b393ee60f03b67eaba2e5d4e768141caaa25b540619abdab6a91",
+    "compute --n 105 --format text":
+        "4acc1a2625e4df67098027edb64d33368c038848e541e8b0ba0273cad85cd29e",
+    "compose --n 15 --m 4 --format text":
+        "e0c79167dc493f9893ee407ccf01fda3fe9c62183e32903d2cf5986dba8541d7",
 }
 
 

@@ -1,4 +1,5 @@
 import hashlib
+from math import gcd
 
 import pytest
 
@@ -111,6 +112,18 @@ class TestCoefficientChecks:
         with pytest.raises(ValueError):
             check_coefficient_facts(1)
 
+    def test_first_power_sum_witness(self, monkeypatch):
+        real = arith.ramanujan_sum
+
+        def shifted(n, q, method="kluyver"):
+            return real(n, q, method) + ((n, q) == (6, 1))
+
+        monkeypatch.setattr(arith, "ramanujan_sum", shifted)
+        report = _by_name(check_coefficient_facts(6), "first_power_sum")
+        assert report == CheckReport(
+            "first_power_sum", (("n", 6),), False, "S_1 = 1; mu(n) = 1; c_n(1) = 2"
+        )
+
 
 class TestCheckReport:
     def test_failed_report_requires_witness(self):
@@ -192,6 +205,37 @@ class TestSweeps:
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
 
+    def test_totient_sweep_equals_the_pairwise_checks(self, monkeypatch):
+        real = arith.totient
+        monkeypatch.setattr(arith, "totient", lambda n: real(n) + (n == 12))
+        pairwise = [
+            r
+            for n in range(1, 61)
+            for m in range(1, 60 // n + 1)
+            if gcd(n, m) == 1
+            for r in check_totient_identities(n, m)
+        ]
+        result = verify.sweep_totient(60)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert result.failures
+
+    def test_totient_sweep_takes_each_divisor_list_once(self, monkeypatch):
+        calls = []
+        real = arith.divisors
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(arith, "divisors", counting)
+        assert verify.sweep_totient(300).passed
+        # the divisors of n once per n, for the divisor sum, and those of m
+        # once per coprime pair, for the scaled divisor sum
+        pairs = sum(gcd(n, m) == 1 for n in range(1, 301) for m in range(1, 300 // n + 1))
+        assert pairs == 1279
+        assert len(calls) == 300 + pairs
+
     def test_ramanujan_sweep_small(self):
         result = verify.sweep_ramanujan(40, 20)
         assert result.passed
@@ -230,6 +274,45 @@ class TestSweeps:
             "kluyver = %d; hoelder = %d; definition = %d"
             % tuple(8 + 2 * (m == bad) for m in ("kluyver", "hoelder", "definition")),
         ) in failures
+
+    def test_ramanujan_sweep_evaluates_each_value_once(self, monkeypatch):
+        calls = []
+        real = arith.ramanujan_sum
+
+        def counting(n, q, method="kluyver"):
+            calls.append((n, q, method))
+            return real(n, q, method)
+
+        monkeypatch.setattr(arith, "ramanujan_sum", counting)
+        assert verify.sweep_ramanujan(30, 6).passed
+        # every N <= 30 and q <= 6, by each of kluyver, hoelder and definition
+        assert len(calls) == len(set(calls)) == 30 * 7 * 3
+
+    def test_ramanujan_sweep_keeps_a_definition_residual(self, monkeypatch):
+        # the definition's residual error at c_12(5) is a value the sweep
+        # reads at every point with nm = 12 and q = 5
+        real = arith._cosine_sum
+
+        def off(n, q):
+            return real(n, q) + 0.25 * ((n, q) == (12, 5))
+
+        monkeypatch.setattr(arith, "_cosine_sum", off)
+        pairwise = [
+            r
+            for n in range(1, 31)
+            for m in range(1, 30 // n + 1)
+            if gcd(n, m) == 1
+            for q in range(7)
+            for r in check_ramanujan_identities(n, m, q)
+        ]
+        result = verify.sweep_ramanujan(30, 6)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        witness = "cosine sum for c_12(5) is 2.500e-01 away from the nearest integer"
+        assert [(f.identity_name, f.params, f.witness) for f in result.failures] == [
+            ("ramanujan_method_agreement", (("n", n), ("m", 12 // n), ("q", 5)), witness)
+            for n in (1, 3, 4, 12)
+        ]
 
     def test_coefficient_sweep_small(self):
         assert verify.sweep_coefficients(150).passed
