@@ -25,8 +25,12 @@ from slices and ``map``.  Exact division of a two-term dividend
 and ``c0 == -c``; any other exact division by a two-term divisor with
 ``c = ±1`` is a strided running sum.  Other large divisions by a divisor
 with a ±1 leading coefficient use a power-series inverse and a
-verification multiply.  Kernels read their operands in place and never
-copy one that is already canonical.
+verification multiply.  When dividend and divisor each equal their
+reversal up to sign, as Phi_n does for n > 1, so does the quotient: the
+series then computes only its top half, at half the precision, and the
+mirror image fills the rest before the verification multiply checks the
+whole quotient.  Kernels read their operands in place and never copy one
+that is already canonical.
 
 Newton's identities, in both directions between coefficients and root
 power sums, are online convolutions: each new term needs the sum of
@@ -62,14 +66,16 @@ IntPoly = list  # list[int], ascending coefficients, canonical form
 # Exact division by a divisor with leading coefficient 1 or -1 (and more
 # than two terms) is long division while the quotient length times the
 # divisor length is at most this, and a series inverse above it.  Timed, min
-# of 5 on Python 3.11 and 2 vCPUs, on 146 of the 1674 distinct dense shapes
-# that recursive and dual_form divide at n <= 2000 and at 44 large indices:
-# below 20000 long division won 67 of 71 (quotient x divisor terms 1153x7:
-# 454 vs 1598 us; 441x21: 156 vs 671 us; 1481x11: 736 vs 1931 us) and lost
-# by at most 1.8x (97x100: 632 vs 344 us); from 20000 to 100000 the series
-# won 14 of 26.  Summed over the sample, every cutoff from 20000 to 60000
-# came within 2% of the best; 4096 cost 25% more below size 200000.
-_LONG_DIVISION_CUTOFF = 20000
+# of 5 on Python 3.11 and 2 vCPUs, on 140 of the 1756 distinct dense shapes
+# that recursive and dual_form divide at n <= 2000 and at 44 indices of
+# 4 or 5 odd primes or of n/rad(n) >= 16 (up to 20 per half-decade of size
+# from 10**3 to 3*10**6), with the half series for symmetric operands:
+# below 8000 long division won 31 of 34 (quotient x divisor terms 661x11:
+# 156 vs 319 us; 65x57: 28 vs 91 us); from 8000 to 20000 the series won 11
+# of 16 (577x33: 329 vs 617 us; 185x99: 147 vs 333 us).  Summed over the
+# sample in four runs, every cutoff from 2000 to 15000 came within 1.4% of
+# the best (7271); 20000 cost 1.7 to 2.9% more, 30000 3.5 to 5.8%.
+_LONG_DIVISION_CUTOFF = 8000
 
 
 def trim(p: Sequence[int]) -> IntPoly:
@@ -319,15 +325,32 @@ def _series_inverse(b: list, k: int) -> list:
     return inv
 
 
+def _symmetry(p: list, pr: list) -> int:
+    """1 if ``p`` equals its reversal ``pr``, -1 if it equals ``-pr``, else 0."""
+    if pr == p:  # stops at the first unequal pair, p[-1] against p[0]
+        return 1
+    if p[0] == -p[-1] and list(map(neg, pr)) == p:
+        return -1
+    return 0
+
+
 def _div_series(p: list, q: list) -> IntPoly:
     # Reverse both operands and multiply by the inverse power series of the
     # divisor; exact over the integers because the divisor is monic up to sign.
+    # The low n terms of the product are the top n quotient terms, reversed.
+    # If p and q each equal their reversal up to signs s_p and s_q, so does an
+    # exact quotient r, with sign s_p*s_q: r[j] == s_p*s_q*r[qlen-1-j].  Then
+    # n = ceil(qlen/2) terms fix r, and the mirror image fills the rest.
     qlen = len(p) - len(q) + 1
-    pr = p[::-1][:qlen]
-    qr = q[::-1][:qlen]
-    inv = _series_inverse(qr, qlen)
-    low = poly_mul(pr, inv)[:qlen]
-    cand = [0] * (qlen - len(low)) + low[::-1]
+    pr = p[::-1]
+    qr = q[::-1]
+    sign = _symmetry(p, pr) * _symmetry(q, qr)
+    n = (qlen + 1) // 2 if sign else qlen
+    top = poly_mul(pr[:n], _series_inverse(qr[:n], n))[:n]
+    top += repeat(0, n - len(top))
+    cand = top[::-1]
+    if sign:
+        cand = _scale(top[: qlen - n], sign) + cand
     if poly_mul(q, cand) != p:
         raise NotDivisibleError("nonzero remainder")
     return trim(cand)

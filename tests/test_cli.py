@@ -333,6 +333,9 @@ _COMPUTE_JSON_SHA256 = {
     2310: "034e85142a8882fb04f69a82e654ed03d5ea309f49d7497e5b02d15040fd5ae4",
     15015: "7ddffafdffb6f5b9c8c33d1e98698c6e2109be56fbfebc1a23b7217e04276ad8",
     21504: "01f798880a98159a5832c585d1a140ee599426534c0d309d3e2cc55011bd4624",
+    # 2**3 * 3**3 * 5**3: recursive and radical divide palindromic operands
+    # through the power series here
+    27000: "53bf23570936e765376659b0a40a11348316b812c24994fcc4f97c2ee225b32a",
     65535: "31d86bd76ea55acb779c677091f6e7f2acd1cd8d892c35e4b5b8e0792981fc59",
     97969: "b7cbc4df16e1a30438fc9830872c7070583a500a12ee97f19e39b2abfc1d905c",
     199999: "c91ccf8d674a357b41ef281eb574be9583eecdac2bdd130c2215e2fde455023f",

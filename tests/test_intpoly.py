@@ -271,6 +271,102 @@ class TestExactDiv:
             poly_exact_div(p, q)
 
 
+def _mirrored(rng, length, sign):
+    """Random ``r`` with ``r[j] == sign * r[length-1-j]`` and a ±1 top term."""
+    r = [rng.randint(-20, 20) for _ in range(length - 1)] + [rng.choice([1, -1])]
+    for j in range(length // 2):
+        r[j] = sign * r[length - 1 - j]
+    if sign == -1 and length % 2:
+        r[length // 2] = 0
+    return r
+
+
+class TestHalfSeries:
+    # Divisors of 60 and 61 terms with quotients of 400 and 401 terms: every
+    # product is past the long-division cutoff, so each division below takes
+    # the series route, whose inverse is asked for ceil(qlen/2) terms exactly
+    # when dividend and divisor both equal their reversal up to sign.
+    SHAPES = [(60, 400), (60, 401), (61, 400), (61, 401)]
+
+    @pytest.fixture
+    def inverses(self, monkeypatch):
+        asked = []
+        series_inverse = intpoly._series_inverse
+
+        def counting(b, k):
+            asked.append(k)
+            return series_inverse(b, k)
+
+        monkeypatch.setattr(intpoly, "_series_inverse", counting)
+        return asked
+
+    @staticmethod
+    def _divide(p, q, inverses):
+        inverses.clear()
+        oracle, rem = naive_divmod(p, q)
+        assert oracle is not None and not rem
+        got = poly_exact_div(p, q)
+        assert got == trim(oracle)
+        return got
+
+    def test_all_four_sign_combinations(self, inverses):
+        rng = random.Random(1401)
+        for qsize, rsize in self.SHAPES:
+            assert qsize * rsize > intpoly._LONG_DIVISION_CUTOFF
+            for qsign in (1, -1):
+                for rsign in (1, -1):
+                    q = _mirrored(rng, qsize, qsign)
+                    r = _mirrored(rng, rsize, rsign)
+                    p = naive_mul(q, r)
+                    assert p[::-1] == [qsign * rsign * c for c in p]
+                    assert self._divide(p, q, inverses) == r
+                    assert inverses == [(rsize + 1) // 2]
+
+    def test_antipalindromic_quotient_of_odd_length(self, inverses):
+        rng = random.Random(1402)
+        for qsign in (1, -1):
+            q = _mirrored(rng, 61, qsign)
+            r = _mirrored(rng, 401, -1)
+            r[-1] = r[-2] = 3  # a top term other than ±1
+            r[0] = r[1] = -3
+            got = self._divide(naive_mul(q, r), q, inverses)
+            assert got == r and got[200] == 0
+            assert inverses == [201]
+
+    def test_non_divisible_symmetric_pairs(self, inverses):
+        rng = random.Random(1403)
+        for qsize, rsize in self.SHAPES:
+            for qsign in (1, -1):
+                for psign in (1, -1):
+                    q = _mirrored(rng, qsize, qsign)
+                    p = naive_mul(q, _mirrored(rng, rsize, psign * qsign))
+                    # a mirrored pair of inner terms moves, so p keeps its
+                    # symmetry and its length
+                    j = rng.randrange(1, len(p) // 2)
+                    p[j] += psign
+                    p[-1 - j] += 1
+                    assert p[::-1] == [psign * c for c in p]
+                    assert naive_divmod(p, q)[1]
+                    inverses.clear()
+                    with pytest.raises(NotDivisibleError):
+                        poly_exact_div(p, q)
+                    assert inverses == [(rsize + 1) // 2]
+
+    def test_symmetric_divisor_with_asymmetric_dividend(self, inverses):
+        rng = random.Random(1404)
+        for qsize, rsize in self.SHAPES:
+            for qsign in (1, -1):
+                q = _mirrored(rng, qsize, qsign)
+                # r[0] == ±r[-1], so p's end terms look symmetric; its inside is not
+                for end in (1, -1):
+                    r = [rng.randint(-20, 20) for _ in range(rsize - 1)] + [1]
+                    r[0] = end
+                    p = naive_mul(q, r)
+                    assert p[0] in (p[-1], -p[-1])
+                    assert self._divide(p, q, inverses) == r
+                    assert inverses == [rsize]
+
+
 def _binomial(c0, ck, k):
     return [c0] + [0] * (k - 1) + [ck]
 

@@ -166,7 +166,11 @@ class TestSweeps:
 
     def test_polynomial_sweep_equals_the_pairwise_checks(self, monkeypatch):
         # a wrong X**6 - 1 makes the fundamental check fail at n = 6, so the
-        # sweep's failures and witnesses are compared, not only its count
+        # sweep's failures and witnesses are compared, not only its count.
+        # The Phi cache builds Phi_6 from X**6 - 1 too, so it is filled for
+        # every index the sweep reads before the corruption goes in.
+        for k in range(1, 41):
+            cyclo.cyclotomic_poly(k)
         x_pow_minus_1 = cyclo._x_pow_minus_1
 
         def corrupted(n):
