@@ -6,10 +6,12 @@ concrete parameters and returns :class:`CheckReport` objects.  Failures are
 data, not exceptions: a failed report carries a witness rendering of the two
 unequal sides, so parameter sweeps always run to completion.  The ``sweep_*``
 helpers iterate the checks over the standard parameter ranges, through the
-same code as the ``check_*`` functions, and compute each value shared by many
-points once: the fundamental product and the totient divisor sum once per n,
-and each Ramanujan sum c_N(q) once per method, from a table that lives as
-long as the sweep.
+same code as the ``check_*`` functions: private cores that return
+(identity name, witness) pairs, the witness None for a pass.  A sweep counts
+the passing checks and builds a report only for a failure.  It computes each
+value shared by many points once: the fundamental product and the totient
+divisor sum once per n, and each Ramanujan sum c_N(q) once per method, from a
+table that lives as long as the sweep.
 
 The dual Mobius inversion ``Phi_nm = prod_{d|m} Phi_n(X^d)**mu(m/d)`` is a
 quotient, but it is checked as a product, ``prod(num) == prod(den) * Phi_nm``:
@@ -68,26 +70,27 @@ def _render(value) -> str:
     return str(value)
 
 
-def _equal(name: str, params: tuple, lhs, rhs) -> CheckReport:
+def _equal(lhs, rhs) -> str | None:
     if lhs == rhs:
-        return CheckReport(name, params, True)
-    witness = "left = %s; right = %s" % (_render(lhs), _render(rhs))
-    return CheckReport(name, params, False, witness)
+        return None
+    return "left = %s; right = %s" % (_render(lhs), _render(rhs))
 
 
-def _agree(name: str, params: tuple, values) -> CheckReport:
+def _agree(values) -> str | None:
     # ``values`` holds (label, int) pairs that must all be equal.
     if len({v for _, v in values}) == 1:
-        return CheckReport(name, params, True)
-    witness = "; ".join("%s = %d" % pair for pair in values)
-    return CheckReport(name, params, False, witness)
+        return None
+    return "; ".join("%s = %d" % pair for pair in values)
 
 
-def _distinct(name: str, params: tuple, lhs, rhs) -> CheckReport:
+def _distinct(lhs, rhs) -> str | None:
     if lhs != rhs:
-        return CheckReport(name, params, True)
-    witness = "sides coincide: %s" % _render(lhs)
-    return CheckReport(name, params, False, witness)
+        return None
+    return "sides coincide: %s" % _render(lhs)
+
+
+def _reports(params: tuple, outcomes: list) -> list:
+    return [CheckReport(name, params, w is None, w) for name, w in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -104,48 +107,35 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    return _polynomial_checks(n, m, cyclo._cyclotomic_product(arith.divisors(n)))
+    product = cyclo._cyclotomic_product(arith.divisors(n))
+    return _reports((("n", n), ("m", m)), _polynomial_checks(n, m, product))
 
 
 def _polynomial_checks(n: int, m: int, product: list) -> list:
     # ``product`` is that of Phi_d over d | n, which depends on n only, so a
     # sweep computes it once per n rather than once per pair.
-    params = (("n", n), ("m", m))
-    reports = [
-        _equal("fundamental_product", params, product, cyclo._x_pow_minus_1(n))
-    ]
-
+    outcomes = [("fundamental_product", _equal(product, cyclo._x_pow_minus_1(n)))]
     phi_n = cyclo.cyclotomic_poly(n)
     substituted = intpoly.substitute_power(phi_n, m)
     divisors = arith.divisors(m)
     rhs = cyclo._cyclotomic_product([d * n for d in divisors])
-    if gcd(n, m) == 1:
-        reports.append(
-            _equal("power_substitution_product", params, substituted, rhs)
-        )
-        # Phi_nm joins the denominator: in the integral domain Z[X],
-        # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
-        num = []
-        den = [cyclo.cyclotomic_poly(n * m)]
-        for d in divisors:
-            mu = arith.mobius(m // d)
-            if mu == 1:
-                num.append(intpoly.substitute_power(phi_n, d))
-            elif mu == -1:
-                den.append(intpoly.substitute_power(phi_n, d))
-        reports.append(
-            _equal(
-                "dual_inversion",
-                params,
-                intpoly.poly_prod(num),
-                intpoly.poly_prod(den),
-            )
-        )
-    else:
-        reports.append(
-            _distinct("noncoprime_counterexample", params, substituted, rhs)
-        )
-    return reports
+    if gcd(n, m) != 1:
+        return outcomes + [("noncoprime_counterexample", _distinct(substituted, rhs))]
+    outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
+    # Phi_nm joins the denominator: in the integral domain Z[X],
+    # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
+    num = []
+    den = [cyclo.cyclotomic_poly(n * m)]
+    for d in divisors:
+        mu = arith.mobius(m // d)
+        if mu == 1:
+            num.append(intpoly.substitute_power(phi_n, d))
+        elif mu == -1:
+            den.append(intpoly.substitute_power(phi_n, d))
+    outcomes.append(
+        ("dual_inversion", _equal(intpoly.poly_prod(num), intpoly.poly_prod(den)))
+    )
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -155,32 +145,24 @@ def check_totient_identities(n: int, m: int) -> list:
     """Check the divisor-sum and multiplicativity identities for the totient."""
     arith._check_index(n)
     arith._check_index(m, "m")
-    return _totient_checks(n, m, sum(arith.totient(d) for d in arith.divisors(n)))
+    divisor_sum = sum(arith.totient(d) for d in arith.divisors(n))
+    return _reports((("n", n), ("m", m)), _totient_checks(n, m, divisor_sum))
 
 
 def _totient_checks(n: int, m: int, divisor_sum: int) -> list:
     # ``divisor_sum`` is that of phi(d) over d | n, which a sweep computes
     # once per n.
-    params = (("n", n), ("m", m))
-    reports = [_equal("totient_divisor_sum", params, divisor_sum, n)]
+    outcomes = [("totient_divisor_sum", _equal(divisor_sum, n))]
     if gcd(n, m) == 1:
-        reports.append(
-            _equal(
-                "totient_scaled_divisor_sum",
-                params,
-                sum(arith.totient(d * n) for d in arith.divisors(m)),
-                m * arith.totient(n),
-            )
-        )
-        reports.append(
-            _equal(
+        scaled = sum(arith.totient(d * n) for d in arith.divisors(m))
+        outcomes += [
+            ("totient_scaled_divisor_sum", _equal(scaled, m * arith.totient(n))),
+            (
                 "totient_multiplicative",
-                params,
-                arith.totient(m * n),
-                arith.totient(m) * arith.totient(n),
-            )
-        )
-    return reports
+                _equal(arith.totient(m * n), arith.totient(m) * arith.totient(n)),
+            ),
+        ]
+    return outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +180,8 @@ def check_ramanujan_identities(n: int, m: int, q: int) -> list:
         raise ValueError("q must be >= 0, got %r" % (q,))
     if gcd(n, m) != 1:
         raise ValueError("n and m must be coprime, got n=%d, m=%d" % (n, m))
-    return _ramanujan_checks(n, m, q, _ramanujan_value)
+    params = (("n", n), ("m", m), ("q", q))
+    return _reports(params, _ramanujan_checks(n, m, q, _ramanujan_value))
 
 
 def _ramanujan_value(n: int, q: int, method: str):
@@ -211,12 +194,9 @@ def _ramanujan_value(n: int, q: int, method: str):
 
 def _ramanujan_checks(n: int, m: int, q: int, c) -> list:
     # ``c(N, q, method)`` is _ramanujan_value, or a sweep's table lookup.
-    params = (("n", n), ("m", m), ("q", q))
     divisors = arith.divisors(m)
     terms = [c(d * n, q, "kluyver") for d in divisors]
     rhs = m * c(n, q // m, "kluyver") if q % m == 0 else 0
-    reports = [_equal("ramanujan_divisor_sum", params, sum(terms), rhs)]
-
     # The d = m term is c_mn(q) by Kluyver, which the inversion and the
     # cross-formula check compare too.
     kluyver = terms[-1]
@@ -224,27 +204,21 @@ def _ramanujan_checks(n: int, m: int, q: int, c) -> list:
         d * c(n, q // d, "kluyver") * arith.mobius(m // d)
         for d in arith.divisors(gcd(m, q))
     )
-    reports.append(_equal("ramanujan_inversion", params, kluyver, inv))
-
     hoelder = c(m * n, q, "hoelder")
     definition = c(m * n, q, "definition")
     if isinstance(definition, arith.DefinitionResidualError):
-        reports.append(
-            CheckReport("ramanujan_method_agreement", params, False, str(definition))
-        )
+        agreement = str(definition)
     else:
-        values = (("kluyver", kluyver), ("hoelder", hoelder), ("definition", definition))
-        reports.append(_agree("ramanujan_method_agreement", params, values))
-
-    reports.append(
-        _equal(
-            "ramanujan_degree_reduction",
-            params,
-            sum(c(d * n, 0, "kluyver") for d in divisors),
-            m * arith.totient(n),
+        agreement = _agree(
+            (("kluyver", kluyver), ("hoelder", hoelder), ("definition", definition))
         )
-    )
-    return reports
+    degree_terms = sum(c(d * n, 0, "kluyver") for d in divisors)
+    return [
+        ("ramanujan_divisor_sum", _equal(sum(terms), rhs)),
+        ("ramanujan_inversion", _equal(kluyver, inv)),
+        ("ramanujan_method_agreement", agreement),
+        ("ramanujan_degree_reduction", _equal(degree_terms, m * arith.totient(n))),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +230,23 @@ def check_coefficient_facts(n: int) -> list:
     arith._check_index(n)
     if n < 2:
         raise ValueError("coefficient facts hold for n >= 2 only")
-    params = (("n", n),)
+    return _reports((("n", n),), _coefficient_checks(n))
+
+
+def _coefficient_checks(n: int) -> list:
     poly = cyclo.cyclotomic_poly(n)
-    degree = len(poly) - 1
     minus_mu = -arith.mobius(n)
-    reports = [
-        _equal("linear_coefficient", params, poly[1], minus_mu),
-        _equal("subleading_coefficient", params, poly[degree - 1], minus_mu),
-        _equal("palindrome_symmetry", params, poly, poly[::-1]),
-    ]
     values = (
         ("S_1", intpoly.power_sums(poly, 1)[1]),
         ("mu(n)", arith.mobius(n)),
         ("c_n(1)", arith.ramanujan_sum(n, 1)),
     )
-    reports.append(_agree("first_power_sum", params, values))
-    return reports
+    return [
+        ("linear_coefficient", _equal(poly[1], minus_mu)),
+        ("subleading_coefficient", _equal(poly[len(poly) - 2], minus_mu)),
+        ("palindrome_symmetry", _equal(poly, poly[::-1])),
+        ("first_power_sum", _agree(values)),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +265,11 @@ class SweepResult:
         return not self.failures
 
 
-def _collect(result: SweepResult, reports: list) -> None:
-    result.checks += len(reports)
-    result.failures.extend(r for r in reports if not r.passed)
+def _collect(result: SweepResult, params: tuple, outcomes: list) -> None:
+    result.checks += len(outcomes)
+    result.failures.extend(
+        CheckReport(name, params, False, w) for name, w in outcomes if w is not None
+    )
 
 
 def sweep_polynomial(max_n: int) -> SweepResult:
@@ -302,7 +279,7 @@ def sweep_polynomial(max_n: int) -> SweepResult:
     for n in range(1, max_n + 1):
         product = cyclo._cyclotomic_product(arith.divisors(n))
         for m in range(1, max_n // n + 1):
-            _collect(result, _polynomial_checks(n, m, product))
+            _collect(result, (("n", n), ("m", m)), _polynomial_checks(n, m, product))
     return result
 
 
@@ -314,7 +291,8 @@ def sweep_totient(max_n: int) -> SweepResult:
         divisor_sum = sum(arith.totient(d) for d in arith.divisors(n))
         for m in range(1, max_n // n + 1):
             if gcd(n, m) == 1:
-                _collect(result, _totient_checks(n, m, divisor_sum))
+                outcomes = _totient_checks(n, m, divisor_sum)
+                _collect(result, (("n", n), ("m", m)), outcomes)
     return result
 
 
@@ -336,13 +314,14 @@ def sweep_ramanujan(max_n: int, max_q: int) -> SweepResult:
         for m in range(1, max_n // n + 1):
             if gcd(n, m) == 1:
                 for q in range(max_q + 1):
-                    _collect(result, _ramanujan_checks(n, m, q, c))
+                    params = (("n", n), ("m", m), ("q", q))
+                    _collect(result, params, _ramanujan_checks(n, m, q, c))
     return result
 
 
 def sweep_coefficients(max_n: int) -> SweepResult:
-    """Run :func:`check_coefficient_facts` for every 2 <= n <= max_n."""
+    """Run the checks of :func:`check_coefficient_facts` for every 2 <= n <= max_n."""
     result = SweepResult("coeff", 0, [])
     for n in range(2, max_n + 1):
-        _collect(result, check_coefficient_facts(n))
+        _collect(result, (("n", n),), _coefficient_checks(n))
     return result

@@ -65,6 +65,15 @@ def test_ramanujan_rejects_negative_q(capsys):
     assert run_cli(["ramanujan", "--n", "12", "--q", "-1"]) == 2
 
 
+@pytest.mark.parametrize("n", ["0", str(2**63)])
+def test_ramanujan_rejects_an_index_out_of_range(capsys, n):
+    # the range check is arith.ramanujan_sum's own, worded as there
+    assert run_cli(["ramanujan", "--n", n, "--q", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be in [1, 2**63 - 1]" in captured.err
+
+
 def test_verify_passes(capsys):
     assert run_cli(["verify", "--max-n", "40", "--max-q", "10", "--suite", "all"]) == 0
     out = capsys.readouterr().out

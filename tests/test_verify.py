@@ -137,14 +137,12 @@ class TestCheckReport:
     def test_witness_rendering_truncates(self):
         lhs = [1] * 101
         rhs = [2] * 101
-        report = verify._equal("fundamental_product", (("n", 1),), lhs, rhs)
-        assert not report.passed
-        assert "terms elided" in report.witness
+        assert verify._equal(lhs, lhs) is None
+        assert "terms elided" in verify._equal(lhs, rhs)
 
     def test_distinct_failure_has_witness(self):
-        report = verify._distinct("noncoprime_counterexample", (("n", 1),), [3], [3])
-        assert not report.passed
-        assert "coincide" in report.witness
+        assert verify._distinct([3], [4]) is None
+        assert "coincide" in verify._distinct([3], [3])
 
 
 class TestSweeps:
@@ -239,6 +237,23 @@ class TestSweeps:
         pairs = sum(gcd(n, m) == 1 for n in range(1, 301) for m in range(1, 300 // n + 1))
         assert pairs == 1279
         assert len(calls) == 300 + pairs
+
+    def test_sweeps_build_a_report_only_for_a_failure(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return CheckReport(*args)
+
+        monkeypatch.setattr(verify, "CheckReport", counting)
+        assert verify.sweep_totient(60).passed
+        assert verify.sweep_ramanujan(20, 4).passed
+        assert built == []
+
+        real = arith.totient
+        monkeypatch.setattr(arith, "totient", lambda n: real(n) + (n == 12))
+        result = verify.sweep_totient(60)
+        assert 0 < len(built) == len(result.failures)
 
     def test_ramanujan_sweep_small(self):
         result = verify.sweep_ramanujan(40, 20)
