@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -39,6 +40,39 @@ class TestPolynomialChecks:
         counter = _by_name(reports, "noncoprime_counterexample")
         assert counter.passed  # the two sides really differ
         assert _by_name(reports, "fundamental_product").passed
+
+    def test_noncoprime_degree_certificate_matches_the_full_comparison(self):
+        # the outcome the sweep decides by degree is the one that building
+        # and comparing both sides gives, at every non-coprime n*m <= 300
+        divisors = verify._divisor_table(300)
+        for n in range(2, 151):
+            product = cyclo._cyclotomic_product(arith.divisors(n))
+            for m in range(2, 300 // n + 1):
+                if gcd(n, m) == 1:
+                    continue
+                rhs = [cyclo.cyclotomic_poly(d * n) for d in arith.divisors(m)]
+                full = verify._distinct(
+                    intpoly.substitute_power(cyclo.cyclotomic_poly(n), m),
+                    intpoly.poly_prod(rhs),
+                )
+                outcomes = verify._polynomial_checks(n, m, product, divisors(m))
+                assert outcomes[-1] == ("noncoprime_counterexample", full)
+
+    def test_tied_degrees_take_the_full_comparison(self, monkeypatch):
+        # Phi_2 and Phi_4 read as the constant 1 padded to two terms: the
+        # lengths tie at (2, 2), 2 * (2 - 1) == (2 - 1) + (2 - 1), so the
+        # check builds both sides, which then coincide
+        real = cyclo._cyclotomic_cached
+        monkeypatch.setattr(
+            cyclo, "_cyclotomic_cached", lambda k: (1, 0) if k in (2, 4) else real(k)
+        )
+        reports = check_polynomial_identities(2, 2)
+        assert _by_name(reports, "noncoprime_counterexample") == CheckReport(
+            "noncoprime_counterexample",
+            (("n", 2), ("m", 2)),
+            False,
+            "sides coincide: 1",
+        )
 
     def test_dual_inversion_failure_is_a_report(self, monkeypatch):
         real = cyclo.cyclotomic_poly
@@ -199,10 +233,12 @@ class TestSweeps:
 
         monkeypatch.setattr(cyclo, "_cyclotomic_product", counting)
         assert verify.sweep_polynomial(60).passed
-        # once per n, plus one product of Phi_{d*n} over d | m per pair: the
-        # power-substitution side if gcd(n, m) = 1, the counterexample's if not
-        pairs = sum(60 // n for n in range(1, 61))
-        assert len(calls) == 60 + pairs
+        # once per n, plus the power-substitution side of each coprime pair;
+        # the degree certificate decides every non-coprime pair up to 60
+        coprime_pairs = sum(
+            gcd(n, m) == 1 for n in range(1, 61) for m in range(1, 60 // n + 1)
+        )
+        assert len(calls) == 60 + coprime_pairs
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
@@ -232,11 +268,8 @@ class TestSweeps:
 
         monkeypatch.setattr(arith, "divisors", counting)
         assert verify.sweep_totient(300).passed
-        # the divisors of n once per n, for the divisor sum, and those of m
-        # once per coprime pair, for the scaled divisor sum
-        pairs = sum(gcd(n, m) == 1 for n in range(1, 301) for m in range(1, 300 // n + 1))
-        assert pairs == 1279
-        assert len(calls) == 300 + pairs
+        # once per k <= 300, into the sweep's divisor table
+        assert calls == list(range(1, 301))
 
     def test_sweeps_build_a_report_only_for_a_failure(self, monkeypatch):
         built = []
@@ -332,6 +365,41 @@ class TestSweeps:
             ("ramanujan_method_agreement", (("n", n), ("m", 12 // n), ("q", 5)), witness)
             for n in (1, 3, 4, 12)
         ]
+
+    def test_ramanujan_sweep_equals_the_pairwise_checks_under_patched_divisors(
+        self, monkeypatch
+    ):
+        # the sweep's divisor table is read through arith.divisors, so a wrong
+        # divisor list of 6 reaches it as it reaches the public check
+        real = arith.divisors
+        monkeypatch.setattr(
+            arith, "divisors", lambda k: real(k)[:-1] if k == 6 else real(k)
+        )
+        pairwise = [
+            r
+            for n in range(1, 21)
+            for m in range(1, 20 // n + 1)
+            if gcd(n, m) == 1
+            for q in range(5)
+            for r in check_ramanujan_identities(n, m, q)
+        ]
+        result = verify.sweep_ramanujan(20, 4)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert result.failures
+
+    def test_sweep_tables_die_with_the_sweep(self):
+        verify.sweep_totient(3000)  # fills the arith caches
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            # tables kept past their sweep would hold over 100 KB for 2999
+            for max_n in (3000, 2999):
+                verify.sweep_totient(max_n)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 64 * 1024, retained
 
     def test_coefficient_sweep_small(self):
         assert verify.sweep_coefficients(150).passed
