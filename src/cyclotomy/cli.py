@@ -211,7 +211,8 @@ def _cmd_table(args) -> int:
         for n in range(1, args.max_n + 1):
             if n > 1:
                 fh.write(",")
-            fh.write(_poly_record(cyclo.cyclotomic_poly(n), n=n))
+            # Each Phi_n is read once here, so none goes into the Phi cache.
+            fh.write(_poly_record(cyclo._cyclotomic_cached.__wrapped__(n), n=n))
         fh.write("]\n")
     print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)
     return 0

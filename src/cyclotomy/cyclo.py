@@ -187,8 +187,6 @@ def _cyclotomic_cached(n: int) -> tuple:
 
 def _cyclotomic_product(indices: list) -> list:
     """Product of Phi_k over a list of indices ``k``."""
-    if len(indices) == 1:
-        return list(_cyclotomic_cached(indices[0]))
     return intpoly.poly_prod([_cyclotomic_cached(k) for k in indices])
 
 

@@ -12,9 +12,13 @@ the passing checks and builds a report only for a failure.  It computes each
 value shared by many points once: the fundamental product and the totient
 divisor sum once per n, and each Ramanujan sum c_N(q) once per method.  Each
 sweep reads divisor lists, phi(k) and c_N(q) from tables it builds at its
-start for every index up to its bound, and that die with it: the divisor
-lists of k <= max_n end to end in one flat array of 32-bit integers, each
-taken from ``arith.divisors`` once.
+start for every index up to its bound, and that die with it: one array of
+32-bit integers per k <= max_n holding the divisors of k, each taken from
+``arith.divisors`` once, which a lookup hands out as stored.  A check core
+reads shared values through what its caller passes in: the fundamental
+product's outcome at n, the divisors of m, and lookups ``phi(k)``,
+``divisors(k)`` and ``c(N, q, method)`` that a public check binds to
+``arith`` and a sweep to its tables.
 
 For a non-coprime pair the power-substitution check is decided by degree
 first: Phi_n(X**m) has degree m*phi(n), and the product of Phi_dn over d | m
@@ -119,16 +123,21 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    product = cyclo._cyclotomic_product(arith.divisors(n))
-    outcomes = _polynomial_checks(n, m, product, arith.divisors(m))
+    fundamental = _fundamental(n, arith.divisors(n))
+    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m))
     return _reports((("n", n), ("m", m)), outcomes)
 
 
-def _polynomial_checks(n: int, m: int, product: list, divisors) -> list:
-    # ``product`` is that of Phi_d over d | n, which depends on n only, so a
+def _fundamental(n: int, divisors) -> str | None:
+    # The outcome of the fundamental identity at n, from the divisors of n.
+    return _equal(cyclo._cyclotomic_product(divisors), cyclo._x_pow_minus_1(n))
+
+
+def _polynomial_checks(n: int, m: int, fundamental, divisors) -> list:
+    # ``fundamental`` is _fundamental(n, ...), which depends on n only, so a
     # sweep computes it once per n rather than once per pair; ``divisors``
     # are those of m.
-    outcomes = [("fundamental_product", _equal(product, cyclo._x_pow_minus_1(n)))]
+    outcomes = [("fundamental_product", fundamental)]
     indices = [d * n for d in divisors]
     coprime = gcd(n, m) == 1
     if not coprime:
@@ -146,9 +155,10 @@ def _polynomial_checks(n: int, m: int, product: list, divisors) -> list:
     outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
     # Phi_nm joins the denominator: in the integral domain Z[X],
     # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
-    num = []
+    # d = m, the last divisor, has mu(1) = 1 and the factor Phi_n(X**m).
+    num = [substituted]
     den = [cyclo.cyclotomic_poly(n * m)]
-    for d in divisors:
+    for d in divisors[:-1]:
         mu = arith.mobius(m // d)
         if mu == 1:
             num.append(intpoly.substitute_power(phi_n, d))
@@ -168,23 +178,20 @@ def check_totient_identities(n: int, m: int) -> list:
     arith._check_index(n)
     arith._check_index(m, "m")
     divisor_sum = sum(arith.totient(d) for d in arith.divisors(n))
-    divisors = arith.divisors(m)
-    keys = (n, m, m * n, *(d * n for d in divisors)) if gcd(n, m) == 1 else ()
-    phi = {k: arith.totient(k) for k in keys}
-    outcomes = _totient_checks(n, m, divisor_sum, divisors, phi)
+    outcomes = _totient_checks(n, m, divisor_sum, arith.divisors(m), arith.totient)
     return _reports((("n", n), ("m", m)), outcomes)
 
 
 def _totient_checks(n: int, m: int, divisor_sum: int, divisors, phi) -> list:
     # ``divisor_sum`` is that of phi(d) over d | n, which a sweep computes
-    # once per n; ``divisors`` are those of m, and ``phi[k]`` is phi(k) for
-    # k in n, m, mn and dn with d | m, read only for a coprime pair.
+    # once per n; ``divisors`` are those of m, and ``phi(k)`` is
+    # arith.totient or a sweep's table lookup, called for a coprime pair only.
     outcomes = [("totient_divisor_sum", _equal(divisor_sum, n))]
     if gcd(n, m) == 1:
-        scaled = sum(phi[d * n] for d in divisors)
+        scaled = sum(phi(d * n) for d in divisors)
         outcomes += [
-            ("totient_scaled_divisor_sum", _equal(scaled, m * phi[n])),
-            ("totient_multiplicative", _equal(phi[m * n], phi[m] * phi[n])),
+            ("totient_scaled_divisor_sum", _equal(scaled, m * phi(n))),
+            ("totient_multiplicative", _equal(phi(m * n), phi(m) * phi(n))),
         ]
     return outcomes
 
@@ -299,22 +306,12 @@ def _collect(result: SweepResult, params: tuple, outcomes: list) -> None:
 
 
 def _divisor_table(max_n: int):
-    """``divisors(k)`` for 1 <= k <= max_n, from lists taken once each.
-
-    The lists are stored end to end in one flat array, since a list of
-    lists of int objects would take several times the memory at the CLI's
-    largest sweep.  The table lives as long as the lookup it returns.
-    """
-    # One allocation at the exact length, the number of pairs d | k <= max_n
-    # counted by d: grown by extend, the array's reallocations moved the
-    # CLI's peak RSS at 200000 between 110 and 118 MB with heap layout.
-    flat = array("I", bytes(4 * sum(max_n // d for d in range(1, max_n + 1))))
-    ends = array("I", bytes(4 * (max_n + 2)))
-    for k in range(1, max_n + 1):
-        divs = arith.divisors(k)
-        ends[k + 1] = ends[k] + len(divs)
-        flat[ends[k] : ends[k + 1]] = array("I", divs)
-    return lambda k: flat[ends[k] : ends[k + 1]]
+    """``divisors(k)`` for 1 <= k <= max_n, each taken from ``arith.divisors``
+    once and stored as an array of 32-bit integers, which the lookup hands
+    out as stored, for reading only.  The table lives as long as the lookup
+    it returns."""
+    table = [None, *(array("I", arith.divisors(k)) for k in range(1, max_n + 1))]
+    return table.__getitem__
 
 
 def sweep_polynomial(max_n: int) -> SweepResult:
@@ -323,9 +320,9 @@ def sweep_polynomial(max_n: int) -> SweepResult:
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
     for n in range(1, max_n + 1):
-        product = cyclo._cyclotomic_product(divisors(n))
+        fundamental = _fundamental(n, divisors(n))
         for m in range(1, max_n // n + 1):
-            outcomes = _polynomial_checks(n, m, product, divisors(m))
+            outcomes = _polynomial_checks(n, m, fundamental, divisors(m))
             _collect(result, (("n", n), ("m", m)), outcomes)
     return result
 
@@ -334,13 +331,13 @@ def sweep_totient(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_totient_identities` over coprime pairs with
     n*m <= max_n, computing the divisor sum of phi once per n."""
     result = SweepResult("totient", 0, [])
-    # phi before the divisor table: filling the arith caches first kept the
-    # peak RSS of the CLI's largest sweep (200000) at 110 MB, against 124 MB
-    # with the table allocated first (Python 3.11 on Linux).
-    phi = [0, *map(arith.totient, range(1, max_n + 1))]
+    # phi before the divisor table: with the arith caches filled first, the
+    # CLI's largest sweep (200000) peaks at 126 MB RSS, against 140 MB with
+    # the table's arrays allocated first (Python 3.11 on Linux).
+    phi = [0, *map(arith.totient, range(1, max_n + 1))].__getitem__
     divisors = _divisor_table(max_n)
     for n in range(1, max_n + 1):
-        divisor_sum = sum(phi[d] for d in divisors(n))
+        divisor_sum = sum(map(phi, divisors(n)))
         for m in range(1, max_n // n + 1):
             if gcd(n, m) == 1:
                 outcomes = _totient_checks(n, m, divisor_sum, divisors(m), phi)

@@ -147,6 +147,13 @@ def test_table_bytes_equal_one_json_dump(tmp_path):
     assert out.read_bytes() == (json.dumps(rows, separators=(",", ":")) + "\n").encode()
 
 
+def test_table_leaves_the_phi_cache_alone(tmp_path):
+    # table reads each Phi_n once, so it neither fills nor reads the cache
+    before = cyclo._cyclotomic_cached.cache_info()
+    assert run_cli(["table", "--max-n", "40", "--out", str(tmp_path / "t.json")]) == 0
+    assert cyclo._cyclotomic_cached.cache_info() == before
+
+
 def test_bench_deterministic_except_timing(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

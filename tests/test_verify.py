@@ -117,6 +117,18 @@ class TestTotientChecks:
         reports = check_totient_identities(4, 2)
         assert [r.identity_name for r in reports] == ["totient_divisor_sum"]
 
+    def test_noncoprime_pair_asks_phi_only_for_the_divisors_of_n(self, monkeypatch):
+        calls = []
+        real = arith.totient
+
+        def counting(k):
+            calls.append(k)
+            return real(k)
+
+        monkeypatch.setattr(arith, "totient", counting)
+        check_totient_identities(12, 8)
+        assert calls == arith.divisors(12)  # no phi(m), phi(mn) or phi(dn)
+
 
 class TestRamanujanChecks:
     def test_divisible_branch(self):
@@ -239,6 +251,40 @@ class TestSweeps:
             gcd(n, m) == 1 for n in range(1, 61) for m in range(1, 60 // n + 1)
         )
         assert len(calls) == 60 + coprime_pairs
+
+    def _count_calls(self, monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+        return calls
+
+    def test_polynomial_sweep_builds_each_x_pow_minus_1_once_per_n(self, monkeypatch):
+        for k in range(1, 61):  # so no cold Phi builds X**d - 1 either
+            cyclo.cyclotomic_poly(k)
+        calls = self._count_calls(monkeypatch, cyclo, "_x_pow_minus_1")
+        assert verify.sweep_polynomial(60).passed
+        assert len(calls) == 60
+
+    def test_polynomial_sweep_substitutes_each_dual_factor_once(self, monkeypatch):
+        for k in range(1, 61):  # so no cold Phi substitutes X**e either
+            cyclo.cyclotomic_poly(k)
+        calls = self._count_calls(monkeypatch, intpoly, "substitute_power")
+        assert verify.sweep_polynomial(60).passed
+        # one Phi_n(X**d) per d | m with mu(m/d) != 0 at each coprime pair;
+        # the d = m factor is the power-substitution side, built once
+        factors = sum(
+            arith.mobius(m // d) != 0
+            for n in range(1, 61)
+            for m in range(1, 60 // n + 1)
+            if gcd(n, m) == 1
+            for d in arith.divisors(m)
+        )
+        assert len(calls) == factors == 436
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
