@@ -69,8 +69,6 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    _check_cli_n(args.n, "--n")
-    _check_cli_n(args.m, "--m")
     if args.n * args.m > MAX_CLI_N:
         raise ValueError(
             "--n * --m must be at most %d, got %d" % (MAX_CLI_N, args.n * args.m)
@@ -211,8 +209,9 @@ def _cmd_table(args) -> int:
         for n in range(1, args.max_n + 1):
             if n > 1:
                 fh.write(",")
-            # Each Phi_n is read once here, so none goes into the Phi cache.
-            fh.write(_poly_record(cyclo._cyclotomic_cached.__wrapped__(n), n=n))
+            # Each Phi_n is read once here, so it comes from the algorithm
+            # the Phi cache memoises, and none goes into that cache.
+            fh.write(_poly_record(cyclo.cyclotomic(n, "radical").poly, n=n))
         fh.write("]\n")
     print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)
     return 0

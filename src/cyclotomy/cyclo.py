@@ -15,7 +15,7 @@ with exact integer polynomial arithmetic:
   ascending d, then divide exactly by each denominator factor, largest d
   first;
 * ``radical``          -- prime-power reduction Phi_n(X) = Phi_r(X**e) with
-  r = rad(n) and e = n/r, plus a recursion at the squarefree radical;
+  r = rad(n) and e = n/r, the two-term chain at the squarefree radical;
 * ``dual_form``        -- build the radical one prime p at a time through
   Phi_{kp}(X) = Phi_k(X**p) / Phi_k(X), then lift by the radical reduction;
 * ``newton_ramanujan`` -- coefficients from the Ramanujan sums c_n(q) via
@@ -101,8 +101,10 @@ def radical_reduce(n: int) -> tuple:
 
 
 def _radical(n: int) -> list:
+    # Phi_r by the two-term chain at the radical r, lifted to n: every step
+    # is a linear-time multiply or division by some X**d - 1.
     r, e = radical_reduce(n)
-    return intpoly.substitute_power(_recursive(r), e)
+    return intpoly.substitute_power(_mobius_product(r), e)
 
 
 def _dual_form(n: int) -> list:
@@ -179,10 +181,7 @@ def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(n: int) -> tuple:
-    # Phi_r by the two-term chain at the radical r, lifted to n: every step
-    # is a linear-time multiply or division by some X**d - 1.
-    r, e = radical_reduce(n)
-    return tuple(intpoly.substitute_power(_mobius_product(r), e))
+    return tuple(_radical(n))
 
 
 def _cyclotomic_product(indices: list) -> list:

@@ -47,6 +47,16 @@ def test_compose_bounds_the_product_index(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--n * --m must be at most 200000, got 39999400002" in captured.err
+    # one bound covers both arguments: a factor over the cap is caught by
+    # the product, and the library rejects a factor below 1
+    assert run_cli(["compose", "--n", "200001", "--m", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--n * --m must be at most 200000, got 200001" in captured.err
+    assert run_cli(["compose", "--n", "0", "--m", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "n must be in [1, 2**63 - 1], got 0" in captured.err
     # the bound itself is accepted
     assert run_cli(["compose", "--n", "1", "--m", "200000", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["degree"] == 200000

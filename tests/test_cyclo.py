@@ -140,8 +140,9 @@ class TestInvariants:
                 assert sums[q] == arith.ramanujan_sum(n, q)
 
     def test_cache_is_filled_by_two_term_steps(self, monkeypatch):
-        # Phi_n is memoised from the two-term chain at rad(n), lifted to n:
-        # no packed multiply and no dense division, at any size
+        # Phi_n is memoised from the radical algorithm, the two-term chain at
+        # rad(n) lifted to n: no packed multiply and no dense division, at
+        # any size, whether through the cache or by the algorithm's name
         indices = (1, 2, 12, 105, 1024, 30030, 255255)
         expected = {n: cyclotomic(n, "dual_form").poly for n in indices}
 
@@ -153,6 +154,7 @@ class TestInvariants:
             monkeypatch.setattr(intpoly, name, general_path)
         for n in indices:
             assert cyclotomic_poly(n) == expected[n], n
+            assert cyclotomic(n, "radical").poly == expected[n], n
 
     def test_cache_returns_fresh_lists(self):
         poly = cyclotomic_poly(12)

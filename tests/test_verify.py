@@ -46,7 +46,7 @@ class TestPolynomialChecks:
         # and comparing both sides gives, at every non-coprime n*m <= 300
         divisors = verify._divisor_table(300)
         for n in range(2, 151):
-            product = cyclo._cyclotomic_product(arith.divisors(n))
+            fundamental = verify._fundamental(n, arith.divisors(n))
             for m in range(2, 300 // n + 1):
                 if gcd(n, m) == 1:
                     continue
@@ -55,7 +55,8 @@ class TestPolynomialChecks:
                     intpoly.substitute_power(cyclo.cyclotomic_poly(n), m),
                     intpoly.poly_prod(rhs),
                 )
-                outcomes = verify._polynomial_checks(n, m, product, divisors(m))
+                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m))
+                assert outcomes[0] == ("fundamental_product", None)
                 assert outcomes[-1] == ("noncoprime_counterexample", full)
 
     def test_tied_degrees_take_the_full_comparison(self, monkeypatch):
