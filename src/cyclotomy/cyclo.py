@@ -181,7 +181,12 @@ def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(n: int) -> tuple:
-    return tuple(_radical(n))
+    # radical's lift, from the cached Phi of the radical: the two-term chain
+    # runs once per squarefree r, however many n share it
+    r, e = radical_reduce(n)
+    if e == 1:
+        return tuple(_radical(n))
+    return tuple(intpoly.substitute_power(_cyclotomic_cached(r), e))
 
 
 def _cyclotomic_product(indices: list) -> list:

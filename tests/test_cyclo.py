@@ -156,6 +156,21 @@ class TestInvariants:
             assert cyclotomic_poly(n) == expected[n], n
             assert cyclotomic(n, "radical").poly == expected[n], n
 
+    def test_cache_runs_the_two_term_chain_once_per_radical(self, monkeypatch):
+        # a non-squarefree n lifts the cached Phi of its radical
+        calls = []
+        chain = cyclo._mobius_product
+
+        def counting(n):
+            calls.append(n)
+            return chain(n)
+
+        monkeypatch.setattr(cyclo, "_mobius_product", counting)
+        cyclo._cyclotomic_cached.cache_clear()
+        for n in range(1, 61):
+            assert cyclotomic_poly(n) == naive_cyclotomic(n), n
+        assert calls == [k for k in range(1, 61) if arith.mobius(k) != 0]
+
     def test_cache_returns_fresh_lists(self):
         poly = cyclotomic_poly(12)
         poly[0] = 999

@@ -3,6 +3,8 @@ import tracemalloc
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclotomy import arith, cyclo, intpoly, verify
 from cyclotomy.verify import (
@@ -290,9 +292,24 @@ class TestSweeps:
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
 
-    def test_totient_sweep_equals_the_pairwise_checks(self, monkeypatch):
-        real = arith.totient
-        monkeypatch.setattr(arith, "totient", lambda n: real(n) + (n == 12))
+    # Where a corruption lands in sweep_totient(60), whose rows are n <= 7 and
+    # whose columns are m <= 7 with n in (7, 60 // m]: phi(12) + 1 fails the
+    # divisor sum at n = 12, 24, 36, 48 and 60; the divisors of 8 as
+    # [1, 2, 3, 8] keep every divisor sum and fail the scaled sum only at
+    # the row pair (3, 8); the divisors of 3 as [2, 3] keep every divisor
+    # sum and fail the scaled sum at each even n, the column pairs
+    # (8, 3) ... (20, 3) among them.
+    _TOTIENT_CORRUPTIONS = {
+        "divisor_sum": ("totient", lambda real, k: real(k) + (k == 12)),
+        "row_pair": ("divisors", lambda real, k: [1, 2, 3, 8] if k == 8 else real(k)),
+        "column_pair": ("divisors", lambda real, k: [2, 3] if k == 3 else real(k)),
+    }
+
+    @pytest.mark.parametrize("place", sorted(_TOTIENT_CORRUPTIONS))
+    def test_totient_sweep_equals_the_pairwise_checks(self, monkeypatch, place):
+        name, corrupted = self._TOTIENT_CORRUPTIONS[place]
+        real = getattr(arith, name)
+        monkeypatch.setattr(arith, name, lambda k: corrupted(real, k))
         pairwise = [
             r
             for n in range(1, 61)
@@ -303,7 +320,37 @@ class TestSweeps:
         result = verify.sweep_totient(60)
         assert result.checks == len(pairwise)
         assert result.failures == [r for r in pairwise if not r.passed]
-        assert result.failures
+        failed = {(f.identity_name, f.params) for f in result.failures}
+        if place == "divisor_sum":
+            assert ("totient_divisor_sum", (("n", 12), ("m", 1))) in failed
+        elif place == "row_pair":
+            assert failed == {("totient_scaled_divisor_sum", (("n", 3), ("m", 8)))}
+        else:
+            assert ("totient_scaled_divisor_sum", (("n", 8), ("m", 3))) in failed
+            assert all(name != "totient_divisor_sum" for name, _ in failed)
+
+    def test_totient_sweep_checks_the_product_rule_on_its_own(self, monkeypatch):
+        # phi(6) = 3, with the divisor lists of 2, 3 and 6 rewritten so that
+        # every divisor sum and scaled sum up to 6 still holds: only
+        # phi(6) == phi(2) * phi(3) fails, at (2, 3) and (3, 2)
+        real_phi, real_divisors = arith.totient, arith.divisors
+        lists = {2: [1, 1], 3: [1, 1, 1], 6: [2, 3, 6]}
+        monkeypatch.setattr(arith, "totient", lambda k: 3 if k == 6 else real_phi(k))
+        monkeypatch.setattr(arith, "divisors", lambda k: lists.get(k) or real_divisors(k))
+        pairwise = [
+            r
+            for n in range(1, 7)
+            for m in range(1, 6 // n + 1)
+            if gcd(n, m) == 1
+            for r in check_totient_identities(n, m)
+        ]
+        result = verify.sweep_totient(6)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert [(f.identity_name, f.params) for f in result.failures] == [
+            ("totient_multiplicative", (("n", 2), ("m", 3))),
+            ("totient_multiplicative", (("n", 3), ("m", 2))),
+        ]
 
     def test_totient_sweep_takes_each_divisor_list_once(self, monkeypatch):
         calls = []
@@ -435,6 +482,21 @@ class TestSweeps:
         assert result.failures == [r for r in pairwise if not r.passed]
         assert result.failures
 
+    def test_passing_sweeps_never_call_a_check_core(self, monkeypatch):
+        # a sweep whose rows all agree only counts its checks
+        def forbidden(*_args):
+            raise AssertionError("a passing sweep called a per-point core")
+
+        monkeypatch.setattr(verify, "_totient_checks", forbidden)
+        monkeypatch.setattr(verify, "_ramanujan_checks", forbidden)
+        pairs = lambda max_n: sum(
+            gcd(n, m) == 1 for n in range(1, max_n + 1) for m in range(1, max_n // n + 1)
+        )
+        totient = verify.sweep_totient(300)
+        assert totient.passed and totient.checks == 3 * pairs(300)
+        ramanujan = verify.sweep_ramanujan(40, 20)
+        assert ramanujan.passed and ramanujan.checks == 4 * 21 * pairs(40)
+
     def test_sweep_tables_die_with_the_sweep(self):
         verify.sweep_totient(3000)  # fills the arith caches
         tracemalloc.start()
@@ -470,3 +532,108 @@ class TestSweepContracts:
     def test_totient_sweep_contract(self):
         result = verify.sweep_totient(10_000)
         assert result.passed, result.failures[:5]
+
+
+def _corrupted_divisors(real, k, drop, value):
+    # the divisors of k with one entry dropped, replaced or appended; every
+    # entry stays in [1, k], so each table index a sweep derives stays in range
+    divs = real(k)
+    if drop is None:
+        return divs + [value]
+    if value is None:
+        return divs[:drop] + divs[drop + 1 :]
+    return divs[:drop] + [value] + divs[drop + 1 :]
+
+
+@st.composite
+def _one_corruption(draw, max_n, max_q=None):
+    """An (arith name, replacement factory) pair that corrupts one phi(k),
+    divisors(k) or, when ``max_q`` is given, c_N(q) by one method."""
+    kinds = ["totient", "divisors"] + ["ramanujan_sum"] * (max_q is not None)
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(1, max_n))
+    if kind == "totient":
+        delta = draw(st.sampled_from([-2, -1, 1, 2]))
+        return kind, lambda real: lambda n: real(n) + delta * (n == k)
+    if kind == "divisors":
+        drop = draw(st.one_of(st.none(), st.integers(0, len(arith.divisors(k)) - 1)))
+        value = draw(st.integers(1, k) if drop is None else st.one_of(st.none(), st.integers(1, k)))
+
+        def divisors_factory(real):
+            return lambda n: _corrupted_divisors(real, n, drop, value) if n == k else real(n)
+
+        return kind, divisors_factory
+    q = draw(st.integers(0, max_q))
+    method = draw(st.sampled_from(["kluyver", "hoelder", "definition"]))
+    delta = draw(st.sampled_from([-1, 1, 3]))
+
+    def ramanujan_factory(real):
+        def corrupted(n, q_, method_="kluyver"):
+            return real(n, q_, method_) + delta * ((n, q_, method_) == (k, q, method))
+
+        return corrupted
+
+    return kind, ramanujan_factory
+
+
+def _sweep_matches_the_pairwise_checks(sweep, pairwise_reports):
+    # Compares what ``sweep()`` returns with the pairwise reports, or the
+    # error both raise: a corrupted totient can leave Hoelder's quotient
+    # inexact, and an empty divisor list of m leaves the Ramanujan core
+    # without its d = m term, and then the sweep and the public check fail
+    # alike.
+    def outcome(run):
+        try:
+            return run()
+        except (ArithmeticError, IndexError) as exc:
+            return type(exc)
+
+    pairwise = outcome(pairwise_reports)
+    result = outcome(sweep)
+    if isinstance(pairwise, type):
+        assert result is pairwise
+    else:
+        assert (result.checks, result.failures) == (
+            len(pairwise),
+            [r for r in pairwise if not r.passed],
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_totient_sweep_equals_the_pairwise_checks_under_one_corruption(data):
+    max_n = data.draw(st.integers(1, 60), label="max_n")
+    name, factory = data.draw(_one_corruption(max_n), label="corruption")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, name, factory(getattr(arith, name)))
+        _sweep_matches_the_pairwise_checks(
+            lambda: verify.sweep_totient(max_n),
+            lambda: [
+                r
+                for n in range(1, max_n + 1)
+                for m in range(1, max_n // n + 1)
+                if gcd(n, m) == 1
+                for r in check_totient_identities(n, m)
+            ],
+        )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_ramanujan_sweep_equals_the_pairwise_checks_under_one_corruption(data):
+    max_n = data.draw(st.integers(1, 16), label="max_n")
+    max_q = data.draw(st.integers(0, 6), label="max_q")
+    name, factory = data.draw(_one_corruption(max_n, max_q), label="corruption")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, name, factory(getattr(arith, name)))
+        _sweep_matches_the_pairwise_checks(
+            lambda: verify.sweep_ramanujan(max_n, max_q),
+            lambda: [
+                r
+                for n in range(1, max_n + 1)
+                for m in range(1, max_n // n + 1)
+                if gcd(n, m) == 1
+                for q in range(max_q + 1)
+                for r in check_ramanujan_identities(n, m, q)
+            ],
+        )
