@@ -9,16 +9,16 @@ helpers iterate the checks over the standard parameter ranges, through the
 same code as the ``check_*`` functions: private cores that return
 (identity name, witness) pairs, the witness None for a pass.  A sweep counts
 the passing checks and builds a report only for a failure.  It computes each
-value shared by many points once: the fundamental product and the totient
-divisor sum once per n, and each Ramanujan sum c_N(q) once per method.  Each
-sweep reads divisor lists, phi(k) and c_N(q) from tables it builds at its
-start for every index up to its bound, and that die with it: one array of
-32-bit integers per k <= max_n holding the divisors of k, each taken from
-``arith.divisors`` once, which a lookup hands out as stored.  A check core
-reads shared values through what its caller passes in: the fundamental
-product's outcome at n, the divisors of m, and lookups ``phi(k)``,
-``divisors(k)`` and ``c(N, q, method)`` that a public check binds to
-``arith`` and a sweep to its tables.
+value shared by many points once: the fundamental product's outcome and the
+totient divisor sum once per n, and each Ramanujan sum c_N(q) once per
+method.  Each sweep reads divisor lists, phi(k) and c_N(q) from tables it
+builds at its start for every index up to its bound, and that die with it:
+one array of 32-bit integers per k <= max_n holding the divisors of k, each
+taken from ``arith.divisors`` once, which a lookup hands out as stored.  A
+check core reads shared values through what its caller passes in: the
+fundamental product's outcome at n, the divisors of m, the values of the Phi
+read at n, and lookups ``phi(k)``, ``divisors(k)`` and ``c(N, q, method)``
+that a public check binds to ``arith`` and a sweep to its tables.
 
 The totient and Ramanujan sweeps first check their identities a whole row at
 a time, comparing both sides over the row with ``map``, ``operator`` and
@@ -43,6 +43,36 @@ sides be built and compared, so a failure carries the same witness as ever.
 The dual Mobius inversion ``Phi_nm = prod_{d|m} Phi_n(X^d)**mu(m/d)`` is a
 quotient, but it is checked as a product, ``prod(num) == prod(den) * Phi_nm``:
 exactly equivalent in Z[X], and no check divides polynomials.
+
+The fundamental product, the power substitution at a coprime pair and the
+dual inversion are each decided by comparing two integers: the values of
+both sides at X = 2**w.  ``intpoly``'s Kronecker codec packs a list into
+its value at 2**w; a product's value is the product of its factors' values,
+and Phi_n(X**d) at 2**w is Phi_n packed at 2**(w*d), so a passing check
+builds no product polynomial.  Two facts make the comparison exact, with H
+the largest absolute coefficient:
+
+* If H(P) and H(Q) are below 2**(w-1), then P(2**w) == Q(2**w) only when
+  P == Q: otherwise the lowest nonzero coefficient of P - Q, below 2**w in
+  absolute value, would have to be a nonzero multiple of 2**w.
+* H(f1*f2*...*fk) <= ||f1||_2 * ||f2||_2 * prod_{i>=3} ||fi||_1, by
+  Cauchy-Schwarz and then Young's inequality, with f1 and f2 the factors of
+  largest absolute sum; it bounds each single factor too, as packing needs.
+  Phi_k(X**d) has the norms of Phi_k.  ``intpoly.product_height_bound``
+  computes the bound in integers from each factor's sum of squares and sum
+  of absolute values.
+
+w is the least whole number of bytes above both sides' bounds, and the
+norms are those of the very lists that get packed, so a corrupted Phi
+widens the slot.  A sweep reads each Phi_k and its norms once and packs it
+once per width and n.  The right side of the power substitution at (1, m),
+the product of Phi_d over d | m, is the fundamental product at m, so the
+sweep multiplies those values once for both.  Where the values differ, and
+wherever the degree of a check's larger side times w is above
+``_EVALUATION_BITS``, the check builds both sides as polynomials and
+compares them, so a failure carries the same witness as ever.  So do the
+checks at the pairs (n, 1), whose sides are each one polynomial, which that
+route only copies and compares.
 """
 
 from __future__ import annotations
@@ -50,7 +80,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import add, eq, floordiv, mul
 
 from . import arith, cyclo, intpoly
@@ -131,56 +161,199 @@ def check_polynomial_identities(n: int, m: int) -> list:
 
     Always checks the fundamental identity at n.  For coprime pairs it
     additionally checks the power-substitution product and the dual Mobius
-    inversion, multiplied out; for non-coprime pairs it confirms that the two
-    sides of the power-substitution identity differ (the counterexample
-    behaviour).
+    inversion, multiplied out (as values at a power of two, or as
+    polynomials); for non-coprime pairs it confirms that the two sides of the
+    power-substitution identity differ (the counterexample behaviour).
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    fundamental = _fundamental(n, arith.divisors(n))
-    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m))
+    values = _PhiValues(n, _PhiReads())
+    fundamental = _fundamental(n, arith.divisors(n), values)
+    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m), values)
     return _reports((("n", n), ("m", m)), outcomes)
 
 
-def _fundamental(n: int, divisors) -> str | None:
+# A check is decided by the values of its sides at X = 2**w while the degree
+# of its larger side times w is at most this many bits, and by multiplying out
+# the polynomials above it, where the slot width the norms give, several
+# times the widths poly_prod finds from actual heights, costs more than the
+# packing it saves.  Timed per check, both routes, Python 3.11 on 2 vCPUs,
+# over every check of sweep_polynomial(2000) and of every third n of
+# sweep_polynomial(5000), in buckets of 2**b to 2**(b+1) bits: below 32768
+# bits evaluation won every bucket from 256 bits up for the power
+# substitution and the dual inversion (2000, power substitution at 16384 to
+# 32767: 0.40 vs 0.59 s over 1891 checks), and the fundamental product from
+# 4096 bits up (its smaller checks took under 15 ms in all, either way).
+# From 32768 to 65535 it won at 5000 (power substitution 1.41 vs 1.82 s,
+# dual inversion 2.07 vs 2.86 s, fundamental product 0.22 vs 0.24 s, which
+# lost it at 2000, 0.33 vs 0.27 s); from 65536 to 131071 it lost the power
+# substitution (3.32 vs 2.70 s) and the fundamental product (0.37 vs
+# 0.30 s), and above that every identity.
+_EVALUATION_BITS = 65536
+
+
+def _norms(p) -> tuple:
+    # (sum of squared coefficients, sum of absolute coefficients)
+    return sum(map(mul, p, p)), sum(map(abs, p))
+
+
+def _evaluation_width(degree: int, *sides) -> int:
+    # The least whole number of bytes w above the height bound of each side's
+    # product, which bounds each of its factors too; ``sides`` holds one list
+    # of factor norms per side.  0 when ``degree``, the larger side's, times
+    # w is above _EVALUATION_BITS: the polynomial route is then the cheaper.
+    bound = max(map(intpoly.product_height_bound, sides))
+    width = intpoly._slot_width(bound.bit_length() + 1)
+    return width if degree * width <= _EVALUATION_BITS else 0
+
+
+class _PhiReads(dict):
+    """Phi_k as ``cyclo._cyclotomic_cached`` returns it, with its norms, read
+    once per k; a sweep keeps one for its whole run, which dies with it.
+
+    ``divisor_products[m]`` is (w, the product of Phi_d(2**w) over d | m),
+    the right side of the power substitution at (1, m), which is also the
+    fundamental product at m: its check takes it, once, in place of
+    multiplying the same values again.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.divisor_products = {}
+
+    def __missing__(self, k: int) -> tuple:
+        poly = cyclo._cyclotomic_cached(k)
+        self[k] = entry = poly, _norms(poly)
+        return entry
+
+    def norms_of(self, k: int, poly: list) -> tuple:
+        """The norms of ``poly``, a read of Phi_k through another function:
+        those of the cached read when the two lists are equal, which one
+        comparison finds at about a tenth of the cost of the two sums."""
+        cached, norms = self[k]
+        return norms if poly == list(cached) else _norms(poly)
+
+
+class _PhiValues:
+    """The values at powers of two of the Phi that the polynomial checks at one
+    n read, each packed once per slot width (but long lifts, see
+    :meth:`lift`); a sweep makes one per n, which dies with that n's checks.
+
+    Phi_n is read through ``cyclo.cyclotomic_poly`` and every other Phi_k
+    through ``reads``, the reads of the polynomial route, so a slot width
+    comes from the norms of the very lists that get packed.
+    """
+
+    def __init__(self, n: int, reads: _PhiReads):
+        self.phi_n = cyclo.cyclotomic_poly(n)
+        self.phi_n_norms = reads.norms_of(n, self.phi_n)
+        self.reads = reads
+        self._packed = {}
+        self._lifted = {}
+
+    def norms(self, indices) -> list:
+        """The norms of Phi_k for each k in ``indices``."""
+        return [self.reads[k][1] for k in indices]
+
+    def value(self, k: int, width: int) -> int:
+        """Phi_k(2**width), Phi_k read through ``reads``."""
+        key = k, width
+        if key not in self._packed:
+            self._packed[key] = intpoly._pack(self.reads[k][0], width)
+        return self._packed[key]
+
+    def lift(self, width: int) -> int:
+        """Phi_n(2**width): Phi_n(X**d) at X = 2**w is Phi_n at 2**(w*d).
+
+        Only values of up to 4096 bits are kept: a longer one, mostly a
+        large d that few m share, costs little to pack again next to the
+        products it joins, and keeping every one made
+        ``verify --suite poly --max-n 5000`` peak at 122 MB RSS, against
+        101 MB, and was no faster at 500 (Python 3.11).
+        """
+        if width in self._lifted:
+            return self._lifted[width]
+        value = intpoly._pack(self.phi_n, width)
+        if value.bit_length() <= 4096:
+            self._lifted[width] = value
+        return value
+
+
+def _fundamental(n: int, divisors, values: _PhiValues) -> str | None:
     # The outcome of the fundamental identity at n, from the divisors of n.
-    return _equal(cyclo._cyclotomic_product(divisors), cyclo._x_pow_minus_1(n))
+    # The factors' bound alone rules out most large n before the norms of
+    # X**n - 1 are taken.
+    rhs = cyclo._x_pow_minus_1(n)
+    factors = values.norms(divisors)
+    shared = values.reads.divisor_products.pop(n, None)
+    width = _evaluation_width(n, factors)
+    width = width and _evaluation_width(n, factors, [_norms(rhs)])
+    if width:
+        if shared is None or shared[0] != width:
+            shared = width, prod(map(values.value, divisors, repeat(width)))
+        if shared[1] == intpoly._pack(rhs, width):
+            return None
+    return _equal(cyclo._cyclotomic_product(divisors), rhs)
 
 
-def _polynomial_checks(n: int, m: int, fundamental, divisors) -> list:
-    # ``fundamental`` is _fundamental(n, ...), which depends on n only, so a
-    # sweep computes it once per n rather than once per pair; ``divisors``
-    # are those of m.
+def _polynomial_checks(n: int, m: int, fundamental, divisors, values: _PhiValues) -> list:
+    # ``fundamental`` is _fundamental(n, ...), and ``values`` is _PhiValues(n),
+    # which depend on n only, so a sweep makes them once per n rather than
+    # once per pair; ``divisors`` are those of m.
     outcomes = [("fundamental_product", fundamental)]
     indices = [d * n for d in divisors]
-    coprime = gcd(n, m) == 1
-    if not coprime:
+    phi_n = values.phi_n
+    if gcd(n, m) != 1:
         # Degrees add in Z[X], so when m*phi(n) differs from the sum of
         # phi(dn) over d | m the two sides differ, and neither is built.  The
         # degrees are read from the lengths of the cached, canonical Phi.
         rhs_degree = sum(len(cyclo._cyclotomic_cached(k)) - 1 for k in indices)
         if rhs_degree != m * (len(cyclo._cyclotomic_cached(n)) - 1):
             return outcomes + [("noncoprime_counterexample", None)]
-    phi_n = cyclo.cyclotomic_poly(n)
-    substituted = intpoly.substitute_power(phi_n, m)
-    rhs = cyclo._cyclotomic_product(indices)
-    if not coprime:
+        substituted = intpoly.substitute_power(phi_n, m)
+        rhs = cyclo._cyclotomic_product(indices)
         return outcomes + [("noncoprime_counterexample", _distinct(substituted, rhs))]
-    outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
-    # Phi_nm joins the denominator: in the integral domain Z[X],
+    # The dual inversion's factors Phi_n(X**d), by the sign of mu(m/d): d = m,
+    # the last divisor, has mu(1) = 1 and is also the power substitution's
+    # left side.  Phi_nm joins the denominator: in the integral domain Z[X],
     # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
-    # d = m, the last divisor, has mu(1) = 1 and the factor Phi_n(X**m).
-    num = [substituted]
-    den = [cyclo.cyclotomic_poly(n * m)]
+    num, den = [m], []
     for d in divisors[:-1]:
         mu = arith.mobius(m // d)
         if mu == 1:
-            num.append(intpoly.substitute_power(phi_n, d))
+            num.append(d)
         elif mu == -1:
-            den.append(intpoly.substitute_power(phi_n, d))
-    outcomes.append(
-        ("dual_inversion", _equal(intpoly.poly_prod(num), intpoly.poly_prod(den)))
+            den.append(d)
+    phi_nm = cyclo.cyclotomic_poly(n * m)
+    degree = len(phi_n) - 1
+    # At m = 1 each side is one polynomial: the polynomial route multiplies
+    # nothing and compares the lists.
+    width = m > 1 and _evaluation_width(
+        degree * m, [values.phi_n_norms], values.norms(indices)
     )
+    if width:
+        product = prod(map(values.value, indices, repeat(width)))
+        if n == 1:  # the fundamental product at m
+            values.reads.divisor_products[m] = width, product
+    if width and values.lift(m * width) == product:
+        outcomes.append(("power_substitution_product", None))
+    else:
+        substituted = intpoly.substitute_power(phi_n, m)
+        rhs = cyclo._cyclotomic_product(indices)
+        outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
+    width = m > 1 and _evaluation_width(
+        degree * sum(num),
+        [values.phi_n_norms] * len(num),
+        [values.reads.norms_of(n * m, phi_nm)] + [values.phi_n_norms] * len(den),
+    )
+    lifted_product = lambda ds: prod(map(values.lift, map(width.__mul__, ds)))
+    if width and lifted_product(num) == intpoly._pack(phi_nm, width) * lifted_product(den):
+        outcomes.append(("dual_inversion", None))
+    else:
+        lifted = lambda ds: [intpoly.substitute_power(phi_n, d) for d in ds]
+        num_side = intpoly.poly_prod(lifted(num))
+        den_side = intpoly.poly_prod([phi_nm] + lifted(den))
+        outcomes.append(("dual_inversion", _equal(num_side, den_side)))
     return outcomes
 
 
@@ -330,13 +503,17 @@ def _divisor_table(max_n: int):
 
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
-    n*m <= max_n, computing the fundamental product once per n."""
+    n*m <= max_n, computing the fundamental product once per n, from the
+    values the pair (1, n) multiplied, reading each Phi_k and its norms once,
+    and packing each Phi_k once per slot width and n."""
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
+    reads = _PhiReads()
     for n in range(1, max_n + 1):
-        fundamental = _fundamental(n, divisors(n))
+        values = _PhiValues(n, reads)
+        fundamental = _fundamental(n, divisors(n), values)
         for m in range(1, max_n // n + 1):
-            outcomes = _polynomial_checks(n, m, fundamental, divisors(m))
+            outcomes = _polynomial_checks(n, m, fundamental, divisors(m), values)
             _collect(result, (("n", n), ("m", m)), outcomes)
     return result
 

@@ -47,8 +47,10 @@ class TestPolynomialChecks:
         # the outcome the sweep decides by degree is the one that building
         # and comparing both sides gives, at every non-coprime n*m <= 300
         divisors = verify._divisor_table(300)
+        reads = verify._PhiReads()
         for n in range(2, 151):
-            fundamental = verify._fundamental(n, arith.divisors(n))
+            values = verify._PhiValues(n, reads)
+            fundamental = verify._fundamental(n, arith.divisors(n), values)
             for m in range(2, 300 // n + 1):
                 if gcd(n, m) == 1:
                     continue
@@ -57,7 +59,7 @@ class TestPolynomialChecks:
                     intpoly.substitute_power(cyclo.cyclotomic_poly(n), m),
                     intpoly.poly_prod(rhs),
                 )
-                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m))
+                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m), values)
                 assert outcomes[0] == ("fundamental_product", None)
                 assert outcomes[-1] == ("noncoprime_counterexample", full)
 
@@ -238,22 +240,52 @@ class TestSweeps:
         assert result.failures == [r for r in pairwise if not r.passed]
         assert len(result.failures) == 6  # m = 1 .. 6 at n = 6
 
-    def test_polynomial_sweep_takes_the_fundamental_product_once_per_n(self, monkeypatch):
-        calls = []
-        product = cyclo._cyclotomic_product
-
-        def counting(indices):
-            calls.append(indices)
-            return product(indices)
-
-        monkeypatch.setattr(cyclo, "_cyclotomic_product", counting)
-        assert verify.sweep_polynomial(60).passed
-        # once per n, plus the power-substitution side of each coprime pair;
-        # the degree certificate decides every non-coprime pair up to 60
-        coprime_pairs = sum(
-            gcd(n, m) == 1 for n in range(1, 61) for m in range(1, 60 // n + 1)
+    def test_polynomial_sweep_shares_a_product_only_at_its_slot_width(self, monkeypatch):
+        # The pair (1, 2) multiplies Phi_1(2**w) * Phi_2(2**w), the
+        # fundamental product at 2, at w = 16, the width a read of Phi_1 as
+        # -200 + X asks for.  At 8 bits, the fundamental's own width, a wrong
+        # X**2 - 1 read as X**4 - 1 has that very value, 2**32 - 1; the
+        # fundamental check must multiply at its own width and fail.
+        for k in range(1, 9):
+            cyclo.cyclotomic_poly(k)
+        public, x_pow_minus_1 = cyclo.cyclotomic_poly, cyclo._x_pow_minus_1
+        monkeypatch.setattr(
+            cyclo, "cyclotomic_poly", lambda k: [-200, 1] if k == 1 else public(k)
         )
-        assert len(calls) == 60 + coprime_pairs
+        monkeypatch.setattr(
+            cyclo, "_x_pow_minus_1", lambda n: [-1, 0, 0, 0, 1] if n == 2 else x_pow_minus_1(n)
+        )
+        pairwise = [
+            r
+            for n in range(1, 9)
+            for m in range(1, 8 // n + 1)
+            for r in check_polynomial_identities(n, m)
+        ]
+        result = verify.sweep_polynomial(8)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        fundamental = _by_name(check_polynomial_identities(2, 1), "fundamental_product")
+        assert fundamental.witness == "left = X^2 - 1; right = X^4 - 1"
+        assert fundamental in result.failures
+
+    def test_polynomial_sweep_takes_the_fundamental_product_by_value(self, monkeypatch):
+        for k in range(1, 61):  # so no cold Phi multiplies or substitutes
+            cyclo.cyclotomic_poly(k)
+        products, polys, x_pow_minus_1 = [
+            self._count_calls(monkeypatch, module, name)
+            for module, name in (
+                (cyclo, "_cyclotomic_product"),
+                (intpoly, "poly_prod"),
+                (cyclo, "_x_pow_minus_1"),
+            )
+        ]
+        assert verify.sweep_polynomial(60).passed
+        # every check up to 60 with a product to take is decided by values at
+        # a power of two; only the pairs (n, 1), whose sides are each one
+        # polynomial, take the polynomial route, which multiplies nothing
+        assert products == [([n],) for n in range(1, 61)]
+        assert {len(factors) for factors, in polys} == {1}
+        assert len(x_pow_minus_1) == 60
 
     def _count_calls(self, monkeypatch, module, name):
         calls = []
@@ -273,21 +305,15 @@ class TestSweeps:
         assert verify.sweep_polynomial(60).passed
         assert len(calls) == 60
 
-    def test_polynomial_sweep_substitutes_each_dual_factor_once(self, monkeypatch):
+    def test_polynomial_sweep_lifts_each_dual_factor_by_value(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi substitutes X**e either
             cyclo.cyclotomic_poly(k)
         calls = self._count_calls(monkeypatch, intpoly, "substitute_power")
         assert verify.sweep_polynomial(60).passed
-        # one Phi_n(X**d) per d | m with mu(m/d) != 0 at each coprime pair;
-        # the d = m factor is the power-substitution side, built once
-        factors = sum(
-            arith.mobius(m // d) != 0
-            for n in range(1, 61)
-            for m in range(1, 60 // n + 1)
-            if gcd(n, m) == 1
-            for d in arith.divisors(m)
-        )
-        assert len(calls) == factors == 436
+        # Phi_n(X**d) at X = 2**w is Phi_n packed at 2**(w*d), so no power is
+        # substituted but X**1, on the polynomial route of the pairs (n, 1)
+        assert {d for _, d in calls} == {1}
+        assert len(calls) == 2 * 60
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
@@ -637,3 +663,91 @@ def test_ramanujan_sweep_equals_the_pairwise_checks_under_one_corruption(data):
                 for r in check_ramanujan_identities(n, m, q)
             ],
         )
+
+
+def _pairwise_polynomial_failures(max_n):
+    """The count and the failures of the checks of
+    :func:`check_polynomial_identities` at every pair n*m <= max_n, each
+    identity decided by building both sides as polynomials and comparing
+    them, through the reads the checks make."""
+    cached, public = cyclo._cyclotomic_cached, cyclo.cyclotomic_poly
+    checks, failures = 0, []
+    for n in range(1, max_n + 1):
+        fundamental = verify._equal(
+            intpoly.poly_prod([cached(d) for d in arith.divisors(n)]),
+            cyclo._x_pow_minus_1(n),
+        )
+        for m in range(1, max_n // n + 1):
+            divisors = arith.divisors(m)
+            rhs = [cached(d * n) for d in divisors]
+            substituted = intpoly.substitute_power(public(n), m)
+            outcomes = [("fundamental_product", fundamental)]
+            if gcd(n, m) > 1:
+                # decided by the degrees read from the lengths, as the checks do
+                if sum(map(len, rhs)) - len(rhs) != m * (len(cached(n)) - 1):
+                    outcomes.append(("noncoprime_counterexample", None))
+                else:
+                    distinct = verify._distinct(substituted, intpoly.poly_prod(rhs))
+                    outcomes.append(("noncoprime_counterexample", distinct))
+            else:
+                lifted = lambda sign: [
+                    intpoly.substitute_power(public(n), d)
+                    for d in divisors
+                    if arith.mobius(m // d) == sign
+                ]
+                substitution = verify._equal(substituted, intpoly.poly_prod(rhs))
+                dual = verify._equal(
+                    intpoly.poly_prod(lifted(1)),
+                    intpoly.poly_prod([public(n * m)] + lifted(-1)),
+                )
+                outcomes += [
+                    ("power_substitution_product", substitution),
+                    ("dual_inversion", dual),
+                ]
+            checks += len(outcomes)
+            params = (("n", n), ("m", m))
+            failures += [
+                CheckReport(name, params, False, w) for name, w in outcomes if w is not None
+            ]
+    return checks, failures
+
+
+@st.composite
+def _corrupted_phi(draw, max_k):
+    """(k, the coefficients of Phi_k with one or two of them changed)."""
+    k = draw(st.integers(1, max_k))
+    coeffs = list(cyclo._cyclotomic_cached(k))
+    shape = draw(st.sampled_from(["one", "two", "collision"]))
+    if shape == "collision":
+        # +256 at X**j and -1 at X**(j+1) leave the value at X = 2**8 as it was
+        j = draw(st.integers(0, len(coeffs) - 2))
+        coeffs[j] += 256
+        coeffs[j + 1] -= 1
+        return k, tuple(coeffs)
+    for _ in range(1 if shape == "one" else 2):
+        j = draw(st.integers(0, len(coeffs) - 1))
+        coeffs[j] += draw(st.sampled_from([-2, -1, 1, 2, 255, -256]))
+    return k, tuple(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_corrupted_phi(40), st.sampled_from(["_cyclotomic_cached", "cyclotomic_poly"]))
+def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corruption(
+    corruption, read
+):
+    # One Phi_k, k <= 40, is corrupted in the cache, which both reads go
+    # through, or in cyclotomic_poly only.  The sweep reports the failures of
+    # the pairwise polynomial comparison, witnesses included, whether every
+    # check takes the polynomial route (cutoff 0) or the values decide.
+    for k in range(1, 41):  # the real cache holds every Phi the sweep reads
+        cyclo.cyclotomic_poly(k)
+    k, coeffs = corruption
+    real = getattr(cyclo, read)
+    wrap = tuple if read == "_cyclotomic_cached" else list
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclo, read, lambda n: wrap(coeffs) if n == k else real(n))
+        expected = _pairwise_polynomial_failures(40)
+        for cutoff in (0, verify._EVALUATION_BITS):
+            mp.setattr(verify, "_EVALUATION_BITS", cutoff)
+            result = verify.sweep_polynomial(40)
+            assert (result.checks, result.failures) == expected
