@@ -229,7 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="print Phi_n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--algorithm", choices=cyclo.ALGORITHMS, default="recursive")
+    p.add_argument(
+        "--algorithm",
+        choices=cyclo.ALGORITHMS,
+        default="radical",
+        help="default radical; every algorithm prints the same Phi_n",
+    )
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_compute)
 

@@ -15,7 +15,10 @@ with exact integer polynomial arithmetic:
   ascending d, then divide exactly by each denominator factor, largest d
   first;
 * ``radical``          -- prime-power reduction Phi_n(X) = Phi_r(X**e) with
-  r = rad(n) and e = n/r, the two-term chain at the squarefree radical;
+  r = rad(n) and e = n/r.  At the squarefree radical, the power series of
+  the product of (1 - X**d)**mu(r/d) over d | r, which is Phi_r reversed,
+  truncated after phi(r)/2 + 2 terms; Phi_r is palindromic, so their
+  mirror gives the rest;
 * ``dual_form``        -- build the radical one prime p at a time through
   Phi_{kp}(X) = Phi_k(X**p) / Phi_k(X), then lift by the radical reduction;
 * ``newton_ramanujan`` -- coefficients from the Ramanujan sums c_n(q) via
@@ -32,8 +35,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from math import gcd
+from operator import add, sub
 
 from . import arith, intpoly
 
@@ -100,11 +104,46 @@ def radical_reduce(n: int) -> tuple:
     return r, n // r
 
 
+def _squarefree_series(r: int) -> list:
+    # Phi_r at a squarefree r.  X**phi(r) * Phi_r(1/X) is the product of
+    # (1 - X**d)**mu(r/d) over d | r, so the power series of that product
+    # gives the top coefficients of Phi_r, and Phi_r is palindromic for
+    # r > 1: modulo X**(h + 2), h = phi(r)//2, the series fixes Phi_r.  A
+    # factor with d >= h + 2 is 1 there, and every step is exact in Z[[X]],
+    # so no step can leave a remainder; two checks stand in for one.
+    phi = arith.totient(r)
+    size = phi // 2 + 2
+    # start from the factor at d = 1, (1 - X)**mu(r)
+    a = [1] * size if arith.mobius(r) == -1 else [1, -1] + [0] * (size - 2)
+    for d in arith.divisors(r)[1:]:
+        if d >= size:
+            break
+        if arith.mobius(r // d) == 1:
+            a[d:] = map(sub, a[d:], a[: size - d])
+        elif d <= (size + d - 1) // d:  # d classes or about size/d blocks
+            for j in range(d):
+                a[j::d] = accumulate(a[j::d])
+        else:
+            for lo in range(d, size, d):
+                a[lo : lo + d] = map(add, a[lo : lo + d], a[lo - d : lo])
+    cut = phi + 1 - size  # the mirror supplies the coefficients below cut
+    if cut and a[size - 1] != a[cut]:
+        raise InternalIdentityError("the series of Phi_%d is not palindromic" % r)
+    poly = a[:cut]
+    # Phi_r(1) is r at a prime r, 0 at r = 1 and 1 otherwise; the mirrored
+    # list sums to twice a[:cut] plus the rest of a
+    if 2 * sum(poly) + sum(a[cut:]) != (r if arith.is_prime(r) else int(r > 1)):
+        raise InternalIdentityError("the series of Phi_%d has the wrong value at 1" % r)
+    a.reverse()
+    poly += a
+    return poly
+
+
 def _radical(n: int) -> list:
-    # Phi_r by the two-term chain at the radical r, lifted to n: every step
-    # is a linear-time multiply or division by some X**d - 1.
+    # Phi_r at the radical r by its half power series, lifted to n
     r, e = radical_reduce(n)
-    return intpoly.substitute_power(_mobius_product(r), e)
+    poly = _squarefree_series(r)
+    return poly if e == 1 else intpoly.substitute_power(poly, e)
 
 
 def _dual_form(n: int) -> list:
@@ -181,8 +220,8 @@ def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:
 
 @lru_cache(maxsize=None)
 def _cyclotomic_cached(n: int) -> tuple:
-    # radical's lift, from the cached Phi of the radical: the two-term chain
-    # runs once per squarefree r, however many n share it
+    # radical's lift, from the cached Phi of the radical: the series runs
+    # once per squarefree r, however many n share it
     r, e = radical_reduce(n)
     if e == 1:
         return tuple(_radical(n))

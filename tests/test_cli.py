@@ -26,6 +26,14 @@ def test_compute_algorithm_flag(capsys):
     assert run_cli(["compute", "--n", "12", "--algorithm", "nope"]) == 2
 
 
+def test_compute_defaults_to_radical(monkeypatch, capsys):
+    used = []
+    real = cyclo.cyclotomic
+    monkeypatch.setattr(cyclo, "cyclotomic", lambda n, a: used.append(a) or real(n, a))
+    assert run_cli(["compute", "--n", "12"]) == 0
+    assert used == ["radical"]
+
+
 def test_compose(capsys):
     assert run_cli(["compose", "--n", "4", "--m", "3"]) == 0
     assert capsys.readouterr().out == "Phi_4(X^3) = X^6 + 1\n"

@@ -100,6 +100,31 @@ class TestCyclotomic:
             k = d // arith.factorize(d)[0][0]
             assert (d, k) in seen, d
 
+    def test_squarefree_series_equals_the_two_term_chain(self):
+        # 2*99991 has one factor 1 - X**2 below the series' precision
+        for r in [k for k in range(1, 3001) if arith.mobius(k)] + [30030, 255255, 199999, 2 * 99991]:
+            assert cyclo._squarefree_series(r) == cyclo._mobius_product(r), r
+
+    @pytest.mark.parametrize("r", [2, 15, 105, 30030])
+    def test_squarefree_series_checks_catch_a_wrong_mobius_sign(self, r, monkeypatch):
+        # flip mu(r/d) at each divisor d that the series reads (d < phi(r)/2 + 2);
+        # only the value at 1 sees the flip at r = 2, only the palindrome
+        # check the flip at r = 15, d = 3
+        real = arith.mobius
+        expected = cyclo._mobius_product(r)
+        cyclo._cyclotomic_cached.cache_clear()
+        for d in arith.divisors(r):
+            if d >= arith.totient(r) // 2 + 2:
+                break
+            monkeypatch.setattr(arith, "mobius", lambda k: -real(k) if k == r // d else real(k))
+            with pytest.raises(InternalIdentityError):
+                cyclotomic(r, "radical")
+            with pytest.raises(InternalIdentityError):
+                cyclotomic_poly(r)
+            monkeypatch.undo()
+            assert cyclotomic_poly(r) == expected, d  # no wrong entry was cached
+            cyclo._cyclotomic_cached.cache_clear()
+
     def test_newton_ramanujan_at_a_large_prime(self):
         # phi = 65536 coefficients; the scalar Newton loop took about 80 s
         assert cyclotomic(65537, "newton_ramanujan").poly == cyclotomic_poly(65537)
@@ -140,9 +165,10 @@ class TestInvariants:
                 assert sums[q] == arith.ramanujan_sum(n, q)
 
     def test_cache_is_filled_by_two_term_steps(self, monkeypatch):
-        # Phi_n is memoised from the radical algorithm, the two-term chain at
-        # rad(n) lifted to n: no packed multiply and no dense division, at
-        # any size, whether through the cache or by the algorithm's name
+        # Phi_n is memoised from the radical algorithm, the power series at
+        # rad(n) lifted to n, whose every step is a multiply or division by
+        # some 1 - X**d: no packed multiply and no dense division, at any
+        # size, whether through the cache or by the algorithm's name
         indices = (1, 2, 12, 105, 1024, 30030, 255255)
         expected = {n: cyclotomic(n, "dual_form").poly for n in indices}
 
@@ -156,16 +182,16 @@ class TestInvariants:
             assert cyclotomic_poly(n) == expected[n], n
             assert cyclotomic(n, "radical").poly == expected[n], n
 
-    def test_cache_runs_the_two_term_chain_once_per_radical(self, monkeypatch):
+    def test_cache_runs_the_series_once_per_radical(self, monkeypatch):
         # a non-squarefree n lifts the cached Phi of its radical
         calls = []
-        chain = cyclo._mobius_product
+        series = cyclo._squarefree_series
 
         def counting(n):
             calls.append(n)
-            return chain(n)
+            return series(n)
 
-        monkeypatch.setattr(cyclo, "_mobius_product", counting)
+        monkeypatch.setattr(cyclo, "_squarefree_series", counting)
         cyclo._cyclotomic_cached.cache_clear()
         for n in range(1, 61):
             assert cyclotomic_poly(n) == naive_cyclotomic(n), n
