@@ -64,15 +64,18 @@ the largest absolute coefficient:
 
 w is the least whole number of bytes above both sides' bounds, and the
 norms are those of the very lists that get packed, so a corrupted Phi
-widens the slot.  A sweep reads each Phi_k and its norms once and packs it
-once per width and n.  The right side of the power substitution at (1, m),
-the product of Phi_d over d | m, is the fundamental product at m, so the
-sweep multiplies those values once for both.  Where the values differ, and
-wherever the degree of a check's larger side times w is above
-``_EVALUATION_BITS``, the check builds both sides as polynomials and
-compares them, so a failure carries the same witness as ever.  So do the
-checks at the pairs (n, 1), whose sides are each one polynomial, which that
-route only copies and compares.
+widens the slot.  Every Phi_k the checks take, as a list, a value or a
+norm, is one read of ``cyclo._cyclotomic_cached``, which a sweep makes once
+per k, so a corrupted cache entry reaches every side that reads it.  A
+sweep packs Phi_k once per width and n while the value is at most
+``_CACHED_VALUE_BITS`` long, and anew at each use above that.  The right
+side of the power substitution at (1, m), the product of Phi_d over d | m,
+is the fundamental product at m, so the sweep multiplies those values once
+for both.  Where the values differ, and wherever the degree of a check's
+larger side times w is above ``_EVALUATION_BITS``, the check builds both
+sides as polynomials and compares them, so a failure carries the same
+witness as ever.  So do the checks at the pairs (n, 1), whose sides are
+each one polynomial, which that route only copies and compares.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    values = _PhiValues(n, _PhiReads())
+    values = _PhiValues(_PhiReads())
     fundamental = _fundamental(n, arith.divisors(n), values)
     outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m), values)
     return _reports((("n", n), ("m", m)), outcomes)
@@ -209,7 +212,8 @@ def _evaluation_width(degree: int, *sides) -> int:
 
 class _PhiReads(dict):
     """Phi_k as ``cyclo._cyclotomic_cached`` returns it, with its norms, read
-    once per k; a sweep keeps one for its whole run, which dies with it.
+    once per k; every Phi the polynomial checks take, as a list or a value,
+    comes from here.  A sweep keeps one for its whole run, which dies with it.
 
     ``divisor_products[m]`` is (w, the product of Phi_d(2**w) over d | m),
     the right side of the power substitution at (1, m), which is also the
@@ -226,56 +230,42 @@ class _PhiReads(dict):
         self[k] = entry = poly, _norms(poly)
         return entry
 
-    def norms_of(self, k: int, poly: list) -> tuple:
-        """The norms of ``poly``, a read of Phi_k through another function:
-        those of the cached read when the two lists are equal, which one
-        comparison finds at about a tenth of the cost of the two sums."""
-        cached, norms = self[k]
-        return norms if poly == list(cached) else _norms(poly)
+    def product(self, indices) -> list:
+        """The product of Phi_k over ``indices``, as a polynomial."""
+        return intpoly.poly_prod([self[k][0] for k in indices])
+
+
+# _PhiValues keeps a packed value of at most this many bits.  A longer one,
+# mostly Phi_n lifted by a large d that few m share, costs little to pack
+# again next to the products it joins; keeping every one made
+# ``verify --suite poly --max-n 5000`` peak at 122 MB RSS against 93 MB, and
+# was no faster at 500 or 5000 (Python 3.11).
+_CACHED_VALUE_BITS = 4096
 
 
 class _PhiValues:
     """The values at powers of two of the Phi that the polynomial checks at one
-    n read, each packed once per slot width (but long lifts, see
-    :meth:`lift`); a sweep makes one per n, which dies with that n's checks.
-
-    Phi_n is read through ``cyclo.cyclotomic_poly`` and every other Phi_k
-    through ``reads``, the reads of the polynomial route, so a slot width
-    comes from the norms of the very lists that get packed.
+    n read through ``reads``, each packed once per slot width while it is at
+    most _CACHED_VALUE_BITS long; a sweep makes one per n, which dies with
+    that n's checks.  Phi_n(X**d) at X = 2**w is Phi_n at 2**(w*d), so a
+    lifted factor is ``value(n, w * d)``.
     """
 
-    def __init__(self, n: int, reads: _PhiReads):
-        self.phi_n = cyclo.cyclotomic_poly(n)
-        self.phi_n_norms = reads.norms_of(n, self.phi_n)
+    def __init__(self, reads: _PhiReads):
         self.reads = reads
         self._packed = {}
-        self._lifted = {}
 
     def norms(self, indices) -> list:
         """The norms of Phi_k for each k in ``indices``."""
         return [self.reads[k][1] for k in indices]
 
     def value(self, k: int, width: int) -> int:
-        """Phi_k(2**width), Phi_k read through ``reads``."""
-        key = k, width
-        if key not in self._packed:
-            self._packed[key] = intpoly._pack(self.reads[k][0], width)
-        return self._packed[key]
-
-    def lift(self, width: int) -> int:
-        """Phi_n(2**width): Phi_n(X**d) at X = 2**w is Phi_n at 2**(w*d).
-
-        Only values of up to 4096 bits are kept: a longer one, mostly a
-        large d that few m share, costs little to pack again next to the
-        products it joins, and keeping every one made
-        ``verify --suite poly --max-n 5000`` peak at 122 MB RSS, against
-        101 MB, and was no faster at 500 (Python 3.11).
-        """
-        if width in self._lifted:
-            return self._lifted[width]
-        value = intpoly._pack(self.phi_n, width)
-        if value.bit_length() <= 4096:
-            self._lifted[width] = value
+        """Phi_k(2**width)."""
+        value = self._packed.get((k, width))
+        if value is None:
+            value = intpoly._pack(self.reads[k][0], width)
+            if value.bit_length() <= _CACHED_VALUE_BITS:
+                self._packed[k, width] = value
         return value
 
 
@@ -293,25 +283,25 @@ def _fundamental(n: int, divisors, values: _PhiValues) -> str | None:
             shared = width, prod(map(values.value, divisors, repeat(width)))
         if shared[1] == intpoly._pack(rhs, width):
             return None
-    return _equal(cyclo._cyclotomic_product(divisors), rhs)
+    return _equal(values.reads.product(divisors), rhs)
 
 
 def _polynomial_checks(n: int, m: int, fundamental, divisors, values: _PhiValues) -> list:
-    # ``fundamental`` is _fundamental(n, ...), and ``values`` is _PhiValues(n),
-    # which depend on n only, so a sweep makes them once per n rather than
-    # once per pair; ``divisors`` are those of m.
+    # ``fundamental`` is _fundamental(n, ...), and ``values`` is a _PhiValues
+    # for n, which depend on n only, so a sweep makes them once per n rather
+    # than once per pair; ``divisors`` are those of m.
+    reads = values.reads
     outcomes = [("fundamental_product", fundamental)]
     indices = [d * n for d in divisors]
-    phi_n = values.phi_n
+    phi_n = reads[n][0]
     if gcd(n, m) != 1:
         # Degrees add in Z[X], so when m*phi(n) differs from the sum of
         # phi(dn) over d | m the two sides differ, and neither is built.  The
         # degrees are read from the lengths of the cached, canonical Phi.
-        rhs_degree = sum(len(cyclo._cyclotomic_cached(k)) - 1 for k in indices)
-        if rhs_degree != m * (len(cyclo._cyclotomic_cached(n)) - 1):
+        if sum(len(reads[k][0]) - 1 for k in indices) != m * (len(phi_n) - 1):
             return outcomes + [("noncoprime_counterexample", None)]
         substituted = intpoly.substitute_power(phi_n, m)
-        rhs = cyclo._cyclotomic_product(indices)
+        rhs = reads.product(indices)
         return outcomes + [("noncoprime_counterexample", _distinct(substituted, rhs))]
     # The dual inversion's factors Phi_n(X**d), by the sign of mu(m/d): d = m,
     # the last divisor, has mu(1) = 1 and is also the power substitution's
@@ -324,29 +314,25 @@ def _polynomial_checks(n: int, m: int, fundamental, divisors, values: _PhiValues
             num.append(d)
         elif mu == -1:
             den.append(d)
-    phi_nm = cyclo.cyclotomic_poly(n * m)
     degree = len(phi_n) - 1
     # At m = 1 each side is one polynomial: the polynomial route multiplies
     # nothing and compares the lists.
-    width = m > 1 and _evaluation_width(
-        degree * m, [values.phi_n_norms], values.norms(indices)
-    )
+    width = m > 1 and _evaluation_width(degree * m, values.norms([n]), values.norms(indices))
     if width:
         product = prod(map(values.value, indices, repeat(width)))
         if n == 1:  # the fundamental product at m
-            values.reads.divisor_products[m] = width, product
-    if width and values.lift(m * width) == product:
+            reads.divisor_products[m] = width, product
+    if width and values.value(n, m * width) == product:
         outcomes.append(("power_substitution_product", None))
     else:
         substituted = intpoly.substitute_power(phi_n, m)
-        rhs = cyclo._cyclotomic_product(indices)
+        rhs = reads.product(indices)
         outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
     width = m > 1 and _evaluation_width(
-        degree * sum(num),
-        [values.phi_n_norms] * len(num),
-        [values.reads.norms_of(n * m, phi_nm)] + [values.phi_n_norms] * len(den),
+        degree * sum(num), values.norms([n] * len(num)), values.norms([n * m] + [n] * len(den))
     )
-    lifted_product = lambda ds: prod(map(values.lift, map(width.__mul__, ds)))
+    lifted_product = lambda ds: prod(map(values.value, repeat(n), map(width.__mul__, ds)))
+    phi_nm = reads[n * m][0]
     if width and lifted_product(num) == intpoly._pack(phi_nm, width) * lifted_product(den):
         outcomes.append(("dual_inversion", None))
     else:
@@ -505,12 +491,13 @@ def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
     n*m <= max_n, computing the fundamental product once per n, from the
     values the pair (1, n) multiplied, reading each Phi_k and its norms once,
-    and packing each Phi_k once per slot width and n."""
+    and packing each Phi_k once per slot width and n up to
+    ``_CACHED_VALUE_BITS``."""
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
     reads = _PhiReads()
     for n in range(1, max_n + 1):
-        values = _PhiValues(n, reads)
+        values = _PhiValues(reads)
         fundamental = _fundamental(n, divisors(n), values)
         for m in range(1, max_n // n + 1):
             outcomes = _polynomial_checks(n, m, fundamental, divisors(m), values)
@@ -563,7 +550,14 @@ def _totient_pairs_if_all_agree(max_n: int, phi: list, divisors):
     exactly one of them, and each holds about sqrt(max_n) pairs or more.
     The product rule phi(mn) == phi(m)*phi(n) at a column pair (n, m) is
     the same comparison of the same three values as at (m, n), a row pair,
-    so only the rows check it.
+    so only the rows check it.  The scaled sums of the columns are checked:
+    combined corruptions of phi and of the divisor lists can fail a column
+    pair alone.  A single one cannot, which is why corrupting one value
+    never showed the columns' use: a wrong phi(k) fails the divisor sum at
+    k, and a wrong divisor list of m, entries in [1, m], that keeps the
+    divisor sum at m fails a column pair (n, m) only through a new entry d
+    sharing a prime p with n, p <= d <= m <= s, and then fails the row pair
+    (p, m) too.
     """
     ns = range(1, max_n + 1)
     if not all(map(eq, map(sum, map(map, repeat(phi.__getitem__), map(divisors, ns))), ns)):

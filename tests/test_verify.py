@@ -49,7 +49,7 @@ class TestPolynomialChecks:
         divisors = verify._divisor_table(300)
         reads = verify._PhiReads()
         for n in range(2, 151):
-            values = verify._PhiValues(n, reads)
+            values = verify._PhiValues(reads)
             fundamental = verify._fundamental(n, arith.divisors(n), values)
             for m in range(2, 300 // n + 1):
                 if gcd(n, m) == 1:
@@ -80,22 +80,24 @@ class TestPolynomialChecks:
         )
 
     def test_dual_inversion_failure_is_a_report(self, monkeypatch):
-        real = cyclo.cyclotomic_poly
+        # Phi_12 + 1 in the cache, which every side reads: both checks that
+        # take Phi_12 at (4, 3) fail, the fundamental product at 4 does not
+        real = cyclo._cyclotomic_cached
 
         def perturbed(k):
-            poly = real(k)
+            poly = list(real(k))
             if k == 12:
                 poly[0] += 1
-            return poly
+            return tuple(poly)
 
-        monkeypatch.setattr(cyclo, "cyclotomic_poly", perturbed)
+        monkeypatch.setattr(cyclo, "_cyclotomic_cached", perturbed)
         reports = check_polynomial_identities(4, 3)
         dual = _by_name(reports, "dual_inversion")
         assert not dual.passed
         assert dual.witness.startswith("left = ")
         assert "; right = " in dual.witness
         assert _by_name(reports, "fundamental_product").passed
-        assert _by_name(reports, "power_substitution_product").passed
+        assert not _by_name(reports, "power_substitution_product").passed
 
     def test_params_recorded(self):
         report = check_polynomial_identities(4, 3)[0]
@@ -241,19 +243,19 @@ class TestSweeps:
         assert len(result.failures) == 6  # m = 1 .. 6 at n = 6
 
     def test_polynomial_sweep_shares_a_product_only_at_its_slot_width(self, monkeypatch):
-        # The pair (1, 2) multiplies Phi_1(2**w) * Phi_2(2**w), the
-        # fundamental product at 2, at w = 16, the width a read of Phi_1 as
-        # -200 + X asks for.  At 8 bits, the fundamental's own width, a wrong
-        # X**2 - 1 read as X**4 - 1 has that very value, 2**32 - 1; the
-        # fundamental check must multiply at its own width and fail.
+        # With Phi_1 read as -200 + X, the pair (1, 2) multiplies
+        # Phi_1(2**16) * Phi_2(2**16) = 4281925432, the fundamental product
+        # at 2, at w = 16.  A wrong X**2 - 1 read as that very constant needs
+        # 40-bit slots, where the product has another value; the fundamental
+        # check must multiply at its own width and fail.
         for k in range(1, 9):
             cyclo.cyclotomic_poly(k)
-        public, x_pow_minus_1 = cyclo.cyclotomic_poly, cyclo._x_pow_minus_1
+        cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
         monkeypatch.setattr(
-            cyclo, "cyclotomic_poly", lambda k: [-200, 1] if k == 1 else public(k)
+            cyclo, "_cyclotomic_cached", lambda k: (-200, 1) if k == 1 else cached(k)
         )
         monkeypatch.setattr(
-            cyclo, "_x_pow_minus_1", lambda n: [-1, 0, 0, 0, 1] if n == 2 else x_pow_minus_1(n)
+            cyclo, "_x_pow_minus_1", lambda n: [4281925432] if n == 2 else x_pow_minus_1(n)
         )
         pairwise = [
             r
@@ -265,7 +267,7 @@ class TestSweeps:
         assert result.checks == len(pairwise)
         assert result.failures == [r for r in pairwise if not r.passed]
         fundamental = _by_name(check_polynomial_identities(2, 1), "fundamental_product")
-        assert fundamental.witness == "left = X^2 - 1; right = X^4 - 1"
+        assert fundamental.witness == "left = X^2 - 199*X - 200; right = 4281925432"
         assert fundamental in result.failures
 
     def test_polynomial_sweep_takes_the_fundamental_product_by_value(self, monkeypatch):
@@ -274,7 +276,7 @@ class TestSweeps:
         products, polys, x_pow_minus_1 = [
             self._count_calls(monkeypatch, module, name)
             for module, name in (
-                (cyclo, "_cyclotomic_product"),
+                (verify._PhiReads, "product"),
                 (intpoly, "poly_prod"),
                 (cyclo, "_x_pow_minus_1"),
             )
@@ -283,7 +285,7 @@ class TestSweeps:
         # every check up to 60 with a product to take is decided by values at
         # a power of two; only the pairs (n, 1), whose sides are each one
         # polynomial, take the polynomial route, which multiplies nothing
-        assert products == [([n],) for n in range(1, 61)]
+        assert [indices for _, indices in products] == [[n] for n in range(1, 61)]
         assert {len(factors) for factors, in polys} == {1}
         assert len(x_pow_minus_1) == 60
 
@@ -297,6 +299,15 @@ class TestSweeps:
 
         monkeypatch.setattr(module, name, counting)
         return calls
+
+    def test_polynomial_sweep_reads_each_phi_once_through_the_cache(self, monkeypatch):
+        for k in range(1, 61):  # so no cold Phi reads the cache itself
+            cyclo.cyclotomic_poly(k)
+        cached = self._count_calls(monkeypatch, cyclo, "_cyclotomic_cached")
+        public = self._count_calls(monkeypatch, cyclo, "cyclotomic_poly")
+        assert verify.sweep_polynomial(60).passed
+        assert sorted(cached) == [(k,) for k in range(1, 61)]
+        assert public == []
 
     def test_polynomial_sweep_builds_each_x_pow_minus_1_once_per_n(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi builds X**d - 1 either
@@ -376,6 +387,34 @@ class TestSweeps:
         assert [(f.identity_name, f.params) for f in result.failures] == [
             ("totient_multiplicative", (("n", 2), ("m", 3))),
             ("totient_multiplicative", (("n", 3), ("m", 2))),
+        ]
+
+    def test_totient_sweep_needs_its_column_pass(self, monkeypatch):
+        # phi(9), phi(18) and phi(36) at two thirds of their values, with the
+        # divisor lists of 4, 9, 18, 27 and 36 rewritten so that every
+        # divisor sum and every row of sweep_totient(40) (n <= 6) still
+        # holds: only the scaled sum at the column pair (9, 4) fails, so only
+        # the column pass can report it
+        real_phi, real_divisors = arith.totient, arith.divisors
+        phis = {9: 4, 18: 4, 36: 8}
+        lists = {4: [1, 2, 3], 9: [1, 3, 9, 3]}
+        extra = {18: [3, 3], 27: [3], 36: [3, 3, 3, 3]}
+        monkeypatch.setattr(arith, "totient", lambda k: phis.get(k) or real_phi(k))
+        monkeypatch.setattr(
+            arith, "divisors", lambda k: lists.get(k) or real_divisors(k) + extra.get(k, [])
+        )
+        pairwise = [
+            r
+            for n in range(1, 41)
+            for m in range(1, 40 // n + 1)
+            if gcd(n, m) == 1
+            for r in check_totient_identities(n, m)
+        ]
+        result = verify.sweep_totient(40)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert [(f.identity_name, f.params) for f in result.failures] == [
+            ("totient_scaled_divisor_sum", (("n", 9), ("m", 4))),
         ]
 
     def test_totient_sweep_takes_each_divisor_list_once(self, monkeypatch):
@@ -670,7 +709,7 @@ def _pairwise_polynomial_failures(max_n):
     :func:`check_polynomial_identities` at every pair n*m <= max_n, each
     identity decided by building both sides as polynomials and comparing
     them, through the reads the checks make."""
-    cached, public = cyclo._cyclotomic_cached, cyclo.cyclotomic_poly
+    cached = cyclo._cyclotomic_cached
     checks, failures = 0, []
     for n in range(1, max_n + 1):
         fundamental = verify._equal(
@@ -680,7 +719,7 @@ def _pairwise_polynomial_failures(max_n):
         for m in range(1, max_n // n + 1):
             divisors = arith.divisors(m)
             rhs = [cached(d * n) for d in divisors]
-            substituted = intpoly.substitute_power(public(n), m)
+            substituted = intpoly.substitute_power(cached(n), m)
             outcomes = [("fundamental_product", fundamental)]
             if gcd(n, m) > 1:
                 # decided by the degrees read from the lengths, as the checks do
@@ -691,14 +730,14 @@ def _pairwise_polynomial_failures(max_n):
                     outcomes.append(("noncoprime_counterexample", distinct))
             else:
                 lifted = lambda sign: [
-                    intpoly.substitute_power(public(n), d)
+                    intpoly.substitute_power(cached(n), d)
                     for d in divisors
                     if arith.mobius(m // d) == sign
                 ]
                 substitution = verify._equal(substituted, intpoly.poly_prod(rhs))
                 dual = verify._equal(
                     intpoly.poly_prod(lifted(1)),
-                    intpoly.poly_prod([public(n * m)] + lifted(-1)),
+                    intpoly.poly_prod([cached(n * m)] + lifted(-1)),
                 )
                 outcomes += [
                     ("power_substitution_product", substitution),
@@ -731,23 +770,26 @@ def _corrupted_phi(draw, max_k):
 
 
 @settings(max_examples=60, deadline=None)
-@given(_corrupted_phi(40), st.sampled_from(["_cyclotomic_cached", "cyclotomic_poly"]))
-def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corruption(
-    corruption, read
-):
-    # One Phi_k, k <= 40, is corrupted in the cache, which both reads go
-    # through, or in cyclotomic_poly only.  The sweep reports the failures of
-    # the pairwise polynomial comparison, witnesses included, whether every
-    # check takes the polynomial route (cutoff 0) or the values decide.
+@given(_corrupted_phi(40))
+def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corruption(corruption):
+    # One Phi_k, k <= 40, is corrupted in the cache, which every read of the
+    # checks goes through.  The sweep reports the failures of the pairwise
+    # polynomial comparison, witnesses included, whether every check takes
+    # the polynomial route (cutoff 0) or the values decide, and whether the
+    # values are packed anew at every use (cap 0) or kept.
     for k in range(1, 41):  # the real cache holds every Phi the sweep reads
         cyclo.cyclotomic_poly(k)
     k, coeffs = corruption
-    real = getattr(cyclo, read)
-    wrap = tuple if read == "_cyclotomic_cached" else list
+    real = cyclo._cyclotomic_cached
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cyclo, read, lambda n: wrap(coeffs) if n == k else real(n))
+        mp.setattr(cyclo, "_cyclotomic_cached", lambda n: coeffs if n == k else real(n))
         expected = _pairwise_polynomial_failures(40)
-        for cutoff in (0, verify._EVALUATION_BITS):
+        for cutoff, cap in (
+            (0, verify._CACHED_VALUE_BITS),
+            (verify._EVALUATION_BITS, 0),
+            (verify._EVALUATION_BITS, verify._CACHED_VALUE_BITS),
+        ):
             mp.setattr(verify, "_EVALUATION_BITS", cutoff)
+            mp.setattr(verify, "_CACHED_VALUE_BITS", cap)
             result = verify.sweep_polynomial(40)
             assert (result.checks, result.failures) == expected
