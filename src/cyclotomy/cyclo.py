@@ -5,10 +5,12 @@ roots of unity; its degree is phi(n).  Every algorithm here works purely
 with exact integer polynomial arithmetic:
 
 * ``recursive``        -- divide X**n - 1 by the product of Phi_d over the
-  proper divisors d of n, for every divisor of n in increasing order.  With
-  p the least prime of n, the Phi_d over the divisors d of n/p multiply to
-  X**(n/p) - 1, so each step first divides by that two-term factor in
-  linear time and then by the product of the few remaining Phi_d only;
+  proper divisors d of n.  With n = p**a * m, p the least prime of n, it
+  finds Phi_d for the divisors d = p**a * e of n, e | m, in increasing
+  order: the Phi over the divisors of d/p multiply to X**(d/p) - 1, so each
+  step first divides by that two-term factor in linear time and then by
+  the product of Phi_(p**a * f) over f | e, f < e, the divisors of d that
+  do not divide d/p;
 * ``mobius_product``   -- multiplicative Mobius inversion of the fundamental
   identity: product of (X**d - 1)**mu(n/d) over d | n, evaluated as a chain
   of two-term steps: multiply by each numerator factor X**d - 1 in
@@ -57,20 +59,24 @@ def _x_pow_minus_1(n: int) -> list:
 
 
 def _recursive(n: int) -> list:
-    # Per-call memo over the divisors of n; discarded on return.  With p the
-    # least prime of d and k = d/p, the divisors of d that divide k are the
-    # divisors of k, whose memo entries multiply to X**k - 1.  So X**d - 1
-    # is first divided by that two-term factor in linear time, and then
-    # only by the Phi_e with e | d, e < d and e not dividing k.
-    memo = {1: [-1, 1]}
-    for d in arith.divisors(n)[1:]:
-        k = d // arith.factorize(d)[0][0]
-        poly = intpoly.poly_exact_div(_x_pow_minus_1(d), _x_pow_minus_1(k))
-        rest = [memo[e] for e in arith.divisors(d)[:-1] if k % e]
+    # Per-call memo of Phi_(q*e) by e, for q = p**a the least prime's part of
+    # n and e | n/q; discarded on return.  At d = q*e the divisors of d that
+    # divide d/p have Phi multiplying to X**(d/p) - 1, and the others are
+    # q*f with f | e: X**d - 1 is divided by that two-term factor in linear
+    # time, then by the memo entries at the proper divisors f of e.
+    if n == 1:
+        return [-1, 1]
+    p, a = arith.factorize(n)[0]
+    q = p**a
+    memo = {}
+    for e in arith.divisors(n // q):
+        d = q * e
+        poly = intpoly.poly_exact_div(_x_pow_minus_1(d), _x_pow_minus_1(d // p))
+        rest = [memo[f] for f in arith.divisors(e)[:-1]]
         if rest:
             poly = intpoly.poly_exact_div(poly, intpoly.poly_prod(rest))
-        memo[d] = poly
-    return memo[n]
+        memo[e] = poly
+    return memo[n // q]
 
 
 def _mobius_product(n: int) -> list:

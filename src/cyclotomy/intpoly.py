@@ -32,6 +32,18 @@ mirror image fills the rest before the verification multiply checks the
 whole quotient.  Kernels read their operands in place and never copy one
 that is already canonical.
 
+Division by a divisor of three or more terms, and a product of two or more
+factors, first read the gcd g of the exponents of all their operands'
+nonzero coefficients, stopping as soon as it reaches 1.  When g > 1 every
+operand is ``f(X**g)`` for some ``f`` g times shorter, and the kernels run
+on those instead: ``p'(X**g) * q'(X**g)`` is ``(p'*q')(X**g)``, and
+``q'(X**g)`` divides ``p'(X**g)`` exactly when ``q'`` divides ``p'``, with
+quotient ``(p'/q')(X**g)``, since division with remainder by ``q'``,
+lifted to ``X**g``, is the unique division with remainder by ``q'(X**g)``.
+The route reads only the operands it is given, so a divisor on a lattice
+over a dividend that is not on it takes the full-size route, and two-term
+divisors keep their linear-time route at every size.
+
 Newton's identities, in both directions between coefficients and root
 power sums, are online convolutions: each new term needs the sum of
 products of all earlier terms with a known sequence.  One divide-and-conquer
@@ -44,8 +56,8 @@ instead of n**2/2 scalar products.
 from __future__ import annotations
 
 import struct
-from itertools import accumulate, islice, repeat
-from math import isqrt, prod
+from itertools import accumulate, compress, count, islice, repeat
+from math import gcd, isqrt, prod
 from operator import add, itemgetter, mul, neg
 from typing import Iterable, Sequence
 
@@ -285,7 +297,9 @@ def poly_prod(factors: Iterable[Sequence[int]]) -> IntPoly:
 
     Factors are combined smallest-first in a balanced tree, which keeps
     intermediate degrees and coefficient heights (and therefore packed slot
-    widths) as small as possible.
+    widths) as small as possible.  When two or more factors are all
+    polynomials in ``X**g`` for some g > 1, the tree multiplies them in
+    ``X**g`` and lifts the product.
     """
     polys = [_canonical(f) for f in factors]
     if not polys:
@@ -293,6 +307,9 @@ def poly_prod(factors: Iterable[Sequence[int]]) -> IntPoly:
     if any(not f for f in polys):
         return []
     polys.sort(key=len)
+    g = _lattice(polys) if len(polys) > 1 else 0
+    if g > 1:
+        polys = [f[::g] for f in polys]
     while len(polys) > 1:
         merged = [
             poly_mul(polys[i], polys[i + 1]) for i in range(0, len(polys) - 1, 2)
@@ -301,7 +318,7 @@ def poly_prod(factors: Iterable[Sequence[int]]) -> IntPoly:
             merged.append(polys[-1])
         merged.sort(key=len)
         polys = merged
-    return list(polys[0])
+    return substitute_power(polys[0], g) if g > 1 else list(polys[0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +452,45 @@ def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:
         return []
     if len(p) < len(q):
         raise NotDivisibleError("divisor degree exceeds dividend degree")
-    if q[-1] in (1, -1):
-        if _is_two_term(q):
-            return _div_binomial(p, q)
-        if (len(p) - len(q) + 1) * len(q) > _LONG_DIVISION_CUTOFF:
-            return _div_series(p, q)
+    if q[-1] in (1, -1) and _is_two_term(q):
+        return _div_binomial(p, q)
+    g = _lattice((q, p)) if len(q) - q.count(0) > 2 else 1
+    if g > 1:
+        return substitute_power(_div_dense(p[::g], q[::g]), g)
+    return _div_dense(p, q)
+
+
+def _div_dense(p: list, q: list) -> IntPoly:
+    # the series inverse needs a leading coefficient of 1 or -1
+    if q[-1] in (1, -1) and (len(p) - len(q) + 1) * len(q) > _LONG_DIVISION_CUTOFF:
+        return _div_series(p, q)
     return _div_school(p, q)
+
+
+def _lattice(polys: Iterable[list]) -> int:
+    """The gcd g of the exponents of the nonzero coefficients of canonical
+    nonzero ``polys``, so that each is a polynomial in ``X**g``; 0 when all
+    are constants.
+
+    The first operand that is not a constant proposes the least positive
+    exponent of its nonzero coefficients as g, and each operand is then
+    checked by counting its zeros on and off the multiples of g; a nonzero
+    coefficient off them lies in some residue class r mod g, and g falls to
+    gcd(g, r).  It stops as soon as g reaches 1, so a first operand with a
+    linear term costs one read.
+    """
+    g = 0
+    for p in polys:
+        if not g:
+            g = next(compress(count(1), islice(p, 1, None)), 0)
+        while g > 1:
+            on = p[::g]
+            if p.count(0) - on.count(0) == len(p) - len(on):
+                break
+            g = gcd(g, next(r for r in range(1, g) if any(p[r::g])))
+        if g == 1:
+            return 1
+    return g
 
 
 # ---------------------------------------------------------------------------

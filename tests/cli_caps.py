@@ -1,12 +1,14 @@
 """Run the command-line tool at its largest bounds and check each run.
 
-Five runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
+Seven runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
 polynomial and coefficient suites, and ``table``, each at the largest bound
-the CLI accepts.  Every run must exit 0; a ``verify`` run must print its
-exact check count with no failures, and ``table`` must write 5000 rows whose
-bytes have the pinned sha256.  Three runs have a bound on the child's peak
-RSS.  Prints the wall time and the peak RSS of every run and exits 1 if any
-run fails.  Standard library only; run it with
+the CLI accepts, and ``compute`` by ``recursive`` at two large indices with
+many divisors.  Every run must exit 0; a ``verify`` run must print its
+exact check count with no failures, ``table`` must write 5000 rows whose
+bytes have the pinned sha256, and a ``compute`` run must print the pinned
+bytes of the default algorithm.  Three runs have a bound on the child's
+peak RSS.  Prints the wall time and the peak RSS of every run and exits 1
+if any run fails.  Standard library only; run it with
 
     python3 tests/cli_caps.py
 
@@ -42,7 +44,18 @@ RUNS = {
     ),
     "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", None),
     "coeff": (["verify", "--suite", "coeff", "--max-n", "5000"], "19996 checks, 0 failures", None),
+    "recursive_180180": (["compute", "--n", "180180", "--algorithm", "recursive"], None, None),
+    "recursive_199290": (["compute", "--n", "199290", "--algorithm", "recursive"], None, None),
+    # last: its check loads the table into this process, about 200 MB, and
+    # the peak RSS of a child forked after that counts the pages it inherits
     "table": (["table", "--max-n", "5000", "--out", "{out}"], None, 40),
+}
+
+# The sha256 of the stdout of ``compute`` at these runs' indices by the
+# default algorithm, which every algorithm must print byte for byte.
+STDOUT_SHA256 = {
+    "recursive_180180": "97033d16dd06514f63c438c296e46dda4093a3d6a049c280165a7887dfb96392",
+    "recursive_199290": "1a78d4b735ec2cec947c71a884db0983100ccddadf74edbd7a2798a18ee70e72",
 }
 
 
@@ -67,7 +80,9 @@ def check(name, tmp):
     args, checks, rss_bound = RUNS[name]
     out_path = os.path.join(tmp, "table.json")
     code, stdout, stderr, wall_s, peak_mb = run_cli([a.format(out=out_path) for a in args])
-    print(stdout, stderr[-2000:], sep="")
+    # a compute run prints a whole polynomial: its pin stands for it here
+    shown = "%d bytes of stdout\n" % len(stdout) if name in STDOUT_SHA256 else stdout
+    print(shown, stderr[-2000:], sep="")
     print("%s: exit %d, %.1f s wall, child peak RSS %.1f MB" % (name, code, wall_s, peak_mb))
     problems = []
     if code != 0:
@@ -83,6 +98,10 @@ def check(name, tmp):
         digest = hashlib.sha256(data).hexdigest()
         if digest != TABLE_SHA256:
             problems.append("sha256 %s differs from the pinned bytes" % digest)
+    if name in STDOUT_SHA256:
+        digest = hashlib.sha256(stdout.encode()).hexdigest()
+        if digest != STDOUT_SHA256[name]:
+            problems.append("stdout sha256 %s differs from the pinned bytes" % digest)
     if rss_bound is not None and peak_mb >= rss_bound:
         problems.append("child peak RSS %.1f MB, bound %d MB" % (peak_mb, rss_bound))
     return ["%s: %s" % (name, problem) for problem in problems]

@@ -77,28 +77,38 @@ class TestCyclotomic:
         assert cyclo._mobius_product(199999) == [1] * 199999
         assert calls == []
 
-    @pytest.mark.parametrize("n", [21504, 28224, 27000, 30030])
+    @pytest.mark.parametrize("n", [21504, 28224, 27000, 30030, 23814, 28125, 180180])
     def test_recursive_at_mixed_indices(self, n):
-        # 21504 = 2**10*3*7, 28224 = 2**6*3**2*7**2, 27000 = 2**3*3**3*5**3
-        # and the squarefree 30030 = 2*3*5*7*11*13
+        # 21504 = 2**10*3*7, 28224 = 2**6*3**2*7**2, 27000 = 2**3*3**3*5**3,
+        # the squarefree 30030 = 2*3*5*7*11*13, 23814 = 2*3**5*7**2 (least
+        # prime to the first power), 28125 = 3**2*5**5 and
+        # 180180 = 2**2*3**2*5*7*11*13
         assert cyclotomic(n, "recursive").poly == cyclotomic(n, "mobius_product").poly
 
-    def test_recursive_divides_by_a_two_term_factor_at_every_divisor(self, monkeypatch):
-        # X**d - 1 is first divided by X**(d/p) - 1, p the least prime of d
+    def test_recursive_finds_phi_only_on_its_least_primes_layer(self, monkeypatch):
+        # At n = 2**3 * 315 the memo holds Phi_8e for e | 315 only: each X**8e - 1
+        # is first divided by X**4e - 1 in full, in increasing e, and no Phi_d
+        # with 8 not dividing d is ever a quotient
         n = 2**3 * 3**2 * 5 * 7
         expected = cyclotomic_poly(n)
-        seen = []
+        binomial, quotients = [], []
         div_binomial = intpoly._div_binomial
+        exact_div = intpoly.poly_exact_div
 
-        def counting(p, q):
-            seen.append((len(p) - 1, len(q) - 1))
+        def counting_binomial(p, q):
+            if p[0] == -1 and len(p) - p.count(0) == 2:  # p is X**d - 1
+                binomial.append((len(p) - 1, len(q) - 1))
             return div_binomial(p, q)
 
-        monkeypatch.setattr(intpoly, "_div_binomial", counting)
+        monkeypatch.setattr(intpoly, "_div_binomial", counting_binomial)
+        monkeypatch.setattr(
+            intpoly, "poly_exact_div", lambda p, q: quotients.append(exact_div(p, q)) or quotients[-1]
+        )
         assert cyclotomic(n, "recursive").poly == expected
-        for d in arith.divisors(n)[1:]:
-            k = d // arith.factorize(d)[0][0]
-            assert (d, k) in seen, d
+        layer = arith.divisors(315)
+        assert binomial == [(8 * e, 4 * e) for e in layer]
+        found = {d for d in arith.divisors(n) if cyclotomic_poly(d) in quotients}
+        assert found == {8 * e for e in layer}
 
     def test_squarefree_series_equals_the_two_term_chain(self):
         # 2*99991 has one factor 1 - X**2 below the series' precision

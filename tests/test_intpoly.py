@@ -465,6 +465,180 @@ class TestTwoTermDividend:
                 poly_exact_div([1] + x_pow_minus_1[1:], [-1] + [0] * (k - 1) + [1])
 
 
+def _lift(p, g):
+    """p(X**g), built independently of the library."""
+    out = [0] * ((len(p) - 1) * g + 1)
+    out[::g] = p
+    return out
+
+
+def _random_divisor(rng, length, lead):
+    # at least three nonzero terms, so never a two-term route
+    return [rng.choice([1, -1, 2])] + [rng.randint(-9, 9) or 1 for _ in range(length - 2)] + [lead]
+
+
+class TestLattice:
+    # Operands that are all polynomials in X**g are divided and multiplied
+    # in X**g and lifted; results are checked against the naive oracles.
+    @staticmethod
+    def _spy(monkeypatch, name, key):
+        # key(second argument) of every call to intpoly.<name>
+        seen = []
+        real = getattr(intpoly, name)
+
+        def spy(p, x):
+            seen.append(key(x))
+            return real(p, x)
+
+        monkeypatch.setattr(intpoly, name, spy)
+        return seen
+
+    @pytest.fixture
+    def lifts(self, monkeypatch):
+        """The exponent of every substitute_power call."""
+        return self._spy(monkeypatch, "substitute_power", int)
+
+    @pytest.fixture
+    def divisors(self, monkeypatch):
+        """The length of every divisor that reaches long division or the series."""
+        return self._spy(monkeypatch, "_div_dense", len)
+
+    def test_lattice_examples(self):
+        assert intpoly._lattice([[1, 2, 3]]) == 1
+        assert intpoly._lattice([[5], [7]]) == 0
+        assert intpoly._lattice([[1, 0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 3]]) == 6
+        assert intpoly._lattice([[1, 0, 0, 0, 1], [2], [1, 0, 0, 0, 0, 0, 1]]) == 2
+        assert intpoly._lattice([[1, 0, 0, 1, 0, 0, 1], [1, 0, 1]]) == 1
+        assert intpoly._lattice([[0, 0, 0, 0, 1, 0, 1]]) == 2
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    def test_exact_division_on_the_lattice(self, g, lifts, divisors):
+        # unit leads reach long division and, past the cutoff in X**g, the
+        # series inverse; the lead 2 long division only
+        rng = random.Random(100 + g)
+        shapes = [(3, 2), (5, 9), (17, 30), (90, 110)]
+        for qlen, rlen in shapes:
+            for lead in (1, -1, 2):
+                q1 = _random_divisor(rng, qlen, lead)
+                r1 = [rng.randint(-20, 20) for _ in range(rlen - 1)] + [rng.choice([1, -3])]
+                p, q = _lift(naive_mul(q1, r1), g), _lift(q1, g)
+                oracle, rem = naive_divmod(p, q)
+                assert oracle is not None and not rem
+                lifts.clear()
+                divisors.clear()
+                assert poly_exact_div(p, q) == trim(oracle) == _lift(r1, g)
+                assert lifts == [g] and divisors == [qlen]
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    def test_inexact_division_on_the_lattice(self, g, divisors):
+        # a perturbation at X**j moves the operands to the lattice gcd(j, g):
+        # on the lattice they keep it, off it they take a finer one, or none
+        # at gcd 1; every route must raise as the oracle finds
+        rng = random.Random(200 + g)
+        for qlen, rlen in [(3, 2), (8, 8), (90, 110)]:
+            q1 = _random_divisor(rng, qlen, rng.choice([1, -1]))
+            r1 = [rng.randint(-20, 20) for _ in range(rlen - 1)] + [1]
+            p, q = _lift(naive_mul(q1, r1), g), _lift(q1, g)
+            for j in (rng.randrange(len(p) // g) * g, rng.randrange(1, g), 1):
+                bad = list(p)
+                bad[j] += rng.choice([1, -1, 4])
+                quot, rem = naive_divmod(bad, q)
+                assert quot is None or rem
+                divisors.clear()
+                with pytest.raises(NotDivisibleError):
+                    poly_exact_div(bad, q)
+                assert divisors == [(len(q) - 1) // math.gcd(j, g) + 1]
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    def test_divisor_on_a_lattice_the_dividend_is_not_on(self, g, lifts, divisors):
+        # q(X**g) * r with a term X**j, g not dividing j, in r is off the
+        # lattice, and so is that product plus a constant or plus X
+        rng = random.Random(300 + g)
+        for qlen, rlen in [(3, 2), (6, 11), (40, 260)]:
+            q = _lift(_random_divisor(rng, qlen, 1), g)
+            r = [rng.randint(-20, 20) for _ in range(rlen - 1)] + [1]
+            r[1] = 7
+            p = naive_mul(q, r)
+            outcomes = []
+            divisors.clear()
+            for dividend in (p, poly_add(p, [1]), poly_add(p, [0, 1])):
+                quot, rem = naive_divmod(dividend, q)
+                if quot is None or rem:
+                    with pytest.raises(NotDivisibleError):
+                        poly_exact_div(dividend, q)
+                    outcomes.append(None)
+                else:
+                    outcomes.append(poly_exact_div(dividend, q))
+                    assert outcomes[-1] == trim(quot)
+            assert outcomes == [r, None, None]
+            assert lifts == [] and set(divisors) == {len(q)}
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    def test_product_on_the_lattice(self, g, lifts):
+        rng = random.Random(400 + g)
+        factors = [
+            [rng.randint(-9, 9) for _ in range(length)] + [rng.choice([1, -2])]
+            for length in (1, 2, 5, 12, 30)
+        ]
+        expected = [1]
+        for f in factors:
+            expected = naive_mul(expected, f)
+        assert poly_prod([_lift(f, g) for f in factors]) == _lift(expected, g)
+        assert lifts == [g]
+        # a product of constants, and of one factor, takes no lattice route
+        assert poly_prod([[3], [-2]]) == [-6]
+        assert poly_prod([_lift(factors[-1], g)]) == _lift(factors[-1], g)
+        assert lifts == [g]
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    def test_product_with_one_factor_off_the_lattice(self, g, lifts):
+        # each factor in turn, shortest to longest, is off the lattice: it has
+        # a linear term, and the others are lifted to the same lengths
+        rng = random.Random(500 + g)
+        lengths = (7, 13, 25, 49)
+        for off in range(len(lengths)):
+            factors = []
+            for i, length in enumerate(lengths):
+                if i == off:
+                    f = [rng.randint(-9, 9) for _ in range(length - 1)] + [1]
+                    f[1] = 5
+                else:
+                    f = _lift([rng.randint(-9, 9) for _ in range((length - 1) // g)] + [1], g)
+                factors.append(f)
+            assert [len(f) for f in factors] == list(lengths)
+            expected = [1]
+            for f in factors:
+                expected = naive_mul(expected, f)
+            assert poly_prod(factors) == expected
+            assert poly_prod(factors[::-1]) == expected
+        assert lifts == []
+
+    @given(
+        st.lists(st.integers(-30, 30), min_size=1, max_size=10),
+        st.integers(-9, 9).filter(bool),
+        st.integers(-9, 9).filter(bool),
+        st.lists(st.integers(-9, 9), max_size=8),
+        st.sampled_from([1, -1]),
+        st.integers(2, 7),
+        st.integers(0, 10**6),
+        st.integers(-5, 5).filter(bool),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_substituted_quotient_property(self, r, c0, c1, middle, lead, g, at, bump):
+        # p = r*q, so p(X**g) / q(X**g) == r(X**g); one perturbed coefficient
+        # anywhere in p(X**g) leaves a remainder, since q has two or more terms
+        q = [c0, c1] + middle + [lead]
+        p = naive_mul(r, q)
+        big_p, big_q = _lift(p, g) if p else [], _lift(q, g)
+        assert poly_exact_div(big_p, big_q) == (_lift(trim(r), g) if trim(r) else [])
+        if not big_p:
+            return
+        bad = list(big_p)
+        bad[at % len(bad)] += bump
+        with pytest.raises(NotDivisibleError):
+            poly_exact_div(bad, big_q)
+
+
 class TestOperandsUntouched:
     OPERANDS = [
         [], [0, 0], [5], [1], [-1], [-1, 1], [1, 0, 0, 1], [2, 0, -3],
