@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
 
@@ -314,6 +315,10 @@ def run_cli(argv: list) -> int:
 
 
 def main() -> None:
+    # A reader that closes the pipe early (``| head``) ends the process by
+    # SIGPIPE, as it does any Unix filter, rather than with a traceback and
+    # exit 1, the code of a failed check.  Python ignores SIGPIPE by default.
+    signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli(sys.argv[1:]))
 
 

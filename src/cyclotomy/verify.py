@@ -16,8 +16,8 @@ builds at its start for every index up to its bound, and that die with it:
 one array of 32-bit integers per k <= max_n holding the divisors of k, each
 taken from ``arith.divisors`` once, which a lookup hands out as stored.  A
 check core reads shared values through what its caller passes in: the
-fundamental product's outcome at n, the divisors of m, the values of the Phi
-read at n, and lookups ``phi(k)``, ``divisors(k)`` and ``c(N, q, method)``
+fundamental product's outcome at n, the divisors of m, one store of the Phi
+it reads, and lookups ``phi(k)``, ``divisors(k)`` and ``c(N, q, method)``
 that a public check binds to ``arith`` and a sweep to its tables.
 
 The totient and Ramanujan sweeps first check their identities a whole row at
@@ -67,15 +67,14 @@ norms are those of the very lists that get packed, so a corrupted Phi
 widens the slot.  Every Phi_k the checks take, as a list, a value or a
 norm, is one read of ``cyclo._cyclotomic_cached``, which a sweep makes once
 per k, so a corrupted cache entry reaches every side that reads it.  A
-sweep packs Phi_k once per width and n while the value is at most
-``_CACHED_VALUE_BITS`` long, and anew at each use above that.  The right
-side of the power substitution at (1, m), the product of Phi_d over d | m,
-is the fundamental product at m, so the sweep multiplies those values once
-for both.  Where the values differ, and wherever the degree of a check's
-larger side times w is above ``_EVALUATION_BITS``, the check builds both
-sides as polynomials and compares them, so a failure carries the same
-witness as ever.  So do the checks at the pairs (n, 1), whose sides are
-each one polynomial, which that route only copies and compares.
+sweep packs Phi_k once per width for its whole run while the value is at
+most ``_CACHED_VALUE_BITS`` long, and anew at each use above that; each
+check multiplies the values of its own factors.  Where the values differ,
+and wherever the degree of a check's larger side times w is above
+``_EVALUATION_BITS``, the check builds both sides as polynomials and
+compares them, so a failure carries the same witness as ever.  So do the
+checks at the pairs (n, 1), whose sides are each one polynomial, which that
+route only copies and compares.
 """
 
 from __future__ import annotations
@@ -170,9 +169,9 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    values = _PhiValues(_PhiReads())
-    fundamental = _fundamental(n, arith.divisors(n), values)
-    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m), values)
+    reads = _PhiReads()
+    fundamental = _fundamental(n, arith.divisors(n), reads)
+    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m), reads)
     return _reports((("n", n), ("m", m)), outcomes)
 
 
@@ -210,20 +209,28 @@ def _evaluation_width(degree: int, *sides) -> int:
     return width if degree * width <= _EVALUATION_BITS else 0
 
 
+# _PhiReads keeps a packed value of at most this many bits.  A longer one,
+# mostly Phi_n lifted by a large d that few m share, costs little to pack
+# again next to the products it joins.  Keeping every one for the whole sweep
+# made ``verify --suite poly --max-n 5000`` peak at 201 MB RSS against 84 MB,
+# for 30.5-36.0 s against 33.6-41.9 s, within the spread of four alternating
+# fresh runs each, and was no faster at 500 (medians of 20 runs, 0.264 s
+# both; Python 3.11, 2 vCPUs).
+_CACHED_VALUE_BITS = 4096
+
+
 class _PhiReads(dict):
     """Phi_k as ``cyclo._cyclotomic_cached`` returns it, with its norms, read
-    once per k; every Phi the polynomial checks take, as a list or a value,
-    comes from here.  A sweep keeps one for its whole run, which dies with it.
-
-    ``divisor_products[m]`` is (w, the product of Phi_d(2**w) over d | m),
-    the right side of the power substitution at (1, m), which is also the
-    fundamental product at m: its check takes it, once, in place of
-    multiplying the same values again.
+    once per k, and its values at powers of two, each packed once per slot
+    width while it is at most _CACHED_VALUE_BITS long; every Phi the
+    polynomial checks take, as a list, a norm or a value, comes from here.
+    A sweep keeps one for its whole run, which dies with it.  Phi_n(X**d) at
+    X = 2**w is Phi_n at 2**(w*d), so a lifted factor is ``value(n, w * d)``.
     """
 
     def __init__(self):
         super().__init__()
-        self.divisor_products = {}
+        self._packed = {}
 
     def __missing__(self, k: int) -> tuple:
         poly = cyclo._cyclotomic_cached(k)
@@ -234,63 +241,37 @@ class _PhiReads(dict):
         """The product of Phi_k over ``indices``, as a polynomial."""
         return intpoly.poly_prod([self[k][0] for k in indices])
 
-
-# _PhiValues keeps a packed value of at most this many bits.  A longer one,
-# mostly Phi_n lifted by a large d that few m share, costs little to pack
-# again next to the products it joins; keeping every one made
-# ``verify --suite poly --max-n 5000`` peak at 122 MB RSS against 93 MB, and
-# was no faster at 500 or 5000 (Python 3.11).
-_CACHED_VALUE_BITS = 4096
-
-
-class _PhiValues:
-    """The values at powers of two of the Phi that the polynomial checks at one
-    n read through ``reads``, each packed once per slot width while it is at
-    most _CACHED_VALUE_BITS long; a sweep makes one per n, which dies with
-    that n's checks.  Phi_n(X**d) at X = 2**w is Phi_n at 2**(w*d), so a
-    lifted factor is ``value(n, w * d)``.
-    """
-
-    def __init__(self, reads: _PhiReads):
-        self.reads = reads
-        self._packed = {}
-
     def norms(self, indices) -> list:
         """The norms of Phi_k for each k in ``indices``."""
-        return [self.reads[k][1] for k in indices]
+        return [self[k][1] for k in indices]
 
     def value(self, k: int, width: int) -> int:
         """Phi_k(2**width)."""
         value = self._packed.get((k, width))
         if value is None:
-            value = intpoly._pack(self.reads[k][0], width)
+            value = intpoly._pack(self[k][0], width)
             if value.bit_length() <= _CACHED_VALUE_BITS:
                 self._packed[k, width] = value
         return value
 
 
-def _fundamental(n: int, divisors, values: _PhiValues) -> str | None:
+def _fundamental(n: int, divisors, reads: _PhiReads) -> str | None:
     # The outcome of the fundamental identity at n, from the divisors of n.
     # The factors' bound alone rules out most large n before the norms of
     # X**n - 1 are taken.
     rhs = cyclo._x_pow_minus_1(n)
-    factors = values.norms(divisors)
-    shared = values.reads.divisor_products.pop(n, None)
+    factors = reads.norms(divisors)
     width = _evaluation_width(n, factors)
     width = width and _evaluation_width(n, factors, [_norms(rhs)])
-    if width:
-        if shared is None or shared[0] != width:
-            shared = width, prod(map(values.value, divisors, repeat(width)))
-        if shared[1] == intpoly._pack(rhs, width):
-            return None
-    return _equal(values.reads.product(divisors), rhs)
+    if width and prod(map(reads.value, divisors, repeat(width))) == intpoly._pack(rhs, width):
+        return None
+    return _equal(reads.product(divisors), rhs)
 
 
-def _polynomial_checks(n: int, m: int, fundamental, divisors, values: _PhiValues) -> list:
-    # ``fundamental`` is _fundamental(n, ...), and ``values`` is a _PhiValues
-    # for n, which depend on n only, so a sweep makes them once per n rather
-    # than once per pair; ``divisors`` are those of m.
-    reads = values.reads
+def _polynomial_checks(n: int, m: int, fundamental, divisors, reads: _PhiReads) -> list:
+    # ``fundamental`` is _fundamental(n, ...), which depends on n only, so a
+    # sweep computes it once per n rather than once per pair; ``divisors``
+    # are those of m.
     outcomes = [("fundamental_product", fundamental)]
     indices = [d * n for d in divisors]
     phi_n = reads[n][0]
@@ -317,28 +298,23 @@ def _polynomial_checks(n: int, m: int, fundamental, divisors, values: _PhiValues
     degree = len(phi_n) - 1
     # At m = 1 each side is one polynomial: the polynomial route multiplies
     # nothing and compares the lists.
-    width = m > 1 and _evaluation_width(degree * m, values.norms([n]), values.norms(indices))
-    if width:
-        product = prod(map(values.value, indices, repeat(width)))
-        if n == 1:  # the fundamental product at m
-            reads.divisor_products[m] = width, product
-    if width and values.value(n, m * width) == product:
+    width = m > 1 and _evaluation_width(degree * m, reads.norms([n]), reads.norms(indices))
+    if width and reads.value(n, m * width) == prod(map(reads.value, indices, repeat(width))):
         outcomes.append(("power_substitution_product", None))
     else:
         substituted = intpoly.substitute_power(phi_n, m)
         rhs = reads.product(indices)
         outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
     width = m > 1 and _evaluation_width(
-        degree * sum(num), values.norms([n] * len(num)), values.norms([n * m] + [n] * len(den))
+        degree * sum(num), reads.norms([n] * len(num)), reads.norms([n * m] + [n] * len(den))
     )
-    lifted_product = lambda ds: prod(map(values.value, repeat(n), map(width.__mul__, ds)))
-    phi_nm = reads[n * m][0]
-    if width and lifted_product(num) == intpoly._pack(phi_nm, width) * lifted_product(den):
+    lifted_product = lambda ds: prod(map(reads.value, repeat(n), map(width.__mul__, ds)))
+    if width and lifted_product(num) == reads.value(n * m, width) * lifted_product(den):
         outcomes.append(("dual_inversion", None))
     else:
         lifted = lambda ds: [intpoly.substitute_power(phi_n, d) for d in ds]
         num_side = intpoly.poly_prod(lifted(num))
-        den_side = intpoly.poly_prod([phi_nm] + lifted(den))
+        den_side = intpoly.poly_prod([reads[n * m][0]] + lifted(den))
         outcomes.append(("dual_inversion", _equal(num_side, den_side)))
     return outcomes
 
@@ -489,18 +465,17 @@ def _divisor_table(max_n: int):
 
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
-    n*m <= max_n, computing the fundamental product once per n, from the
-    values the pair (1, n) multiplied, reading each Phi_k and its norms once,
-    and packing each Phi_k once per slot width and n up to
-    ``_CACHED_VALUE_BITS``."""
+    n*m <= max_n, computing the fundamental product once per n, reading each
+    Phi_k and its norms once, and packing each Phi_k once per slot width up
+    to ``_CACHED_VALUE_BITS``, all through one store that dies with the
+    sweep."""
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
     reads = _PhiReads()
     for n in range(1, max_n + 1):
-        values = _PhiValues(reads)
-        fundamental = _fundamental(n, divisors(n), values)
+        fundamental = _fundamental(n, divisors(n), reads)
         for m in range(1, max_n // n + 1):
-            outcomes = _polynomial_checks(n, m, fundamental, divisors(m), values)
+            outcomes = _polynomial_checks(n, m, fundamental, divisors(m), reads)
             _collect(result, (("n", n), ("m", m)), outcomes)
     return result
 

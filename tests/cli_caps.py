@@ -6,7 +6,7 @@ the CLI accepts, and ``compute`` by ``recursive`` at two large indices with
 many divisors.  Every run must exit 0; a ``verify`` run must print its
 exact check count with no failures, ``table`` must write 5000 rows whose
 bytes have the pinned sha256, and a ``compute`` run must print the pinned
-bytes of the default algorithm.  Three runs have a bound on the child's
+bytes of the default algorithm.  Four runs have a bound on the child's
 peak RSS.  Prints the wall time and the peak RSS of every run and exits 1
 if any run fails.  Standard library only; run it with
 
@@ -42,7 +42,7 @@ RUNS = {
         "4000000 checks, 0 failures",
         64,
     ),
-    "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", None),
+    "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", 100),
     "coeff": (["verify", "--suite", "coeff", "--max-n", "5000"], "19996 checks, 0 failures", None),
     "recursive_180180": (["compute", "--n", "180180", "--algorithm", "recursive"], None, None),
     "recursive_199290": (["compute", "--n", "199290", "--algorithm", "recursive"], None, None),

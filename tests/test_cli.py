@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -428,3 +432,20 @@ def test_json_output_bytes_are_pinned(capsys):
             assert digest(argv) == want, argv
     for command, want in _OTHER_JSON_SHA256.items():
         assert digest(command.split()) == want, command
+
+
+def test_a_closed_pipe_ends_the_process_by_sigpipe():
+    # ``cyclotomy compute --n 180180 | head -c 100``: the reader closes the
+    # pipe long before the output is all written.  The process ends as a
+    # Unix filter does, not with a traceback and exit 1, the code of a
+    # failed check.  The JSON form, 142 kB, cannot fit a 64 KiB pipe buffer
+    # whole, as the 62 kB text form could before the pipe is closed.
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [sys.executable, "-m", "cyclotomy.cli", "compute", "--n", "180180", "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.read(100).startswith(b'{"n":180180,')
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == -signal.SIGPIPE
+    assert b"Traceback" not in stderr

@@ -49,8 +49,7 @@ class TestPolynomialChecks:
         divisors = verify._divisor_table(300)
         reads = verify._PhiReads()
         for n in range(2, 151):
-            values = verify._PhiValues(reads)
-            fundamental = verify._fundamental(n, arith.divisors(n), values)
+            fundamental = verify._fundamental(n, arith.divisors(n), reads)
             for m in range(2, 300 // n + 1):
                 if gcd(n, m) == 1:
                     continue
@@ -59,7 +58,7 @@ class TestPolynomialChecks:
                     intpoly.substitute_power(cyclo.cyclotomic_poly(n), m),
                     intpoly.poly_prod(rhs),
                 )
-                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m), values)
+                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m), reads)
                 assert outcomes[0] == ("fundamental_product", None)
                 assert outcomes[-1] == ("noncoprime_counterexample", full)
 
@@ -243,11 +242,12 @@ class TestSweeps:
         assert len(result.failures) == 6  # m = 1 .. 6 at n = 6
 
     def test_polynomial_sweep_shares_a_product_only_at_its_slot_width(self, monkeypatch):
-        # With Phi_1 read as -200 + X, the pair (1, 2) multiplies
-        # Phi_1(2**16) * Phi_2(2**16) = 4281925432, the fundamental product
-        # at 2, at w = 16.  A wrong X**2 - 1 read as that very constant needs
-        # 40-bit slots, where the product has another value; the fundamental
-        # check must multiply at its own width and fail.
+        # With Phi_1 read as -200 + X, Phi_1(2**16) * Phi_2(2**16) =
+        # 4281925432 is the fundamental product at 2 at w = 16, which the pair
+        # (1, 2) multiplies too, from values the sweep keeps.  A wrong
+        # X**2 - 1 read as that very constant needs 40-bit slots, where the
+        # product has another value; the fundamental check must multiply at
+        # its own width and fail.
         for k in range(1, 9):
             cyclo.cyclotomic_poly(k)
         cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
@@ -325,6 +325,26 @@ class TestSweeps:
         # substituted but X**1, on the polynomial route of the pairs (n, 1)
         assert {d for _, d in calls} == {1}
         assert len(calls) == 2 * 60
+
+    def test_polynomial_sweep_packs_each_phi_value_once(self, monkeypatch):
+        for k in range(1, 61):  # so no cold Phi packs a factor of its own
+            cyclo.cyclotomic_poly(k)
+        index = {id(cyclo._cyclotomic_cached(k)): k for k in range(1, 61)}
+        packs = []
+        real = intpoly._pack
+
+        def counting(p, width):
+            value = real(p, width)
+            # X**n - 1 is a list, never a cached Phi; a longer value is
+            # packed anew at each use by design
+            if id(p) in index and value.bit_length() <= verify._CACHED_VALUE_BITS:
+                packs.append((index[id(p)], width))
+            return value
+
+        monkeypatch.setattr(intpoly, "_pack", counting)
+        assert verify.sweep_polynomial(60).passed
+        assert packs
+        assert len(packs) == len(set(packs))
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
