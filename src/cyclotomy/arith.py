@@ -4,7 +4,10 @@ Factorization (trial division by the primes below 1024, then Brent's cycle
 variant of Pollard rho with a deterministic Miller-Rabin primality test for
 any part left at or above 1024**2), divisors, the Mobius and Euler totient
 functions, and Ramanujan sums by several closed forms and by a floating-point
-cosine sum, which sieves the residues coprime to n per call and caches nothing.
+cosine sum.  The cosine sum evaluates one cosine per residue class coprime to
+n / gcd(n, q), phi(n / gcd(n, q)) of them, sieved per call from the cached
+factorization of n; it caches nothing and returns the float that summing all
+phi(n) terms gives.
 
 All functions are pure and deterministic; the internal memo tables only
 cache results of pure computations, so concurrent use is safe.
@@ -12,9 +15,11 @@ cache results of pure computations, so concurrent use is safe.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress, repeat
 from math import cos, fsum, gcd, isqrt, tau
+from operator import mul
 
 from . import intpoly
 
@@ -190,13 +195,33 @@ def is_coprime(a: int, b: int) -> bool:
 # Ramanujan sums
 
 def _cosine_sum(n: int, q: int) -> float:
-    """Sum of cos(2*pi*k*q/n) over 0 <= k < n coprime to n, in floating point."""
-    # Sieve the residues coprime to n; c_1 keeps k = 0, so c_1(q) = 1.
-    coprime = bytearray([1]) * n
+    """Sum of cos(2*pi*k*q/n) over 0 <= k < n coprime to n, in floating point.
+
+    With g = gcd(n, q) and m = n // g, k*q mod n runs over g*s for the s < m
+    coprime to m, each hit t = phi(n) / phi(m) times.  So the sum takes the
+    phi(m) distinct cosines cos((tau / n) * (g*s)), each counted as its exact
+    multiples v * 2**k for the set bits k of t.  These summands add up to
+    exactly the phi(n) terms' sum, and fsum rounds any exact sum correctly,
+    so the float is the one the term-by-term sum gives.
+    """
+    g = gcd(n, q)  # gcd(n, 0) == n: every term is cos(0)
+    m = n // g
+    # Sieve the units of m with the primes of n, so no new factorization is
+    # cached; c_1 keeps s = 0, so c_1(q) = 1.  t = g * prod((p - 1) / p) over
+    # the primes p of n that divide g but not m, an integer at every step.
+    units = bytearray([1]) * m
+    t = g
     for p, _ in _factorize(n):
-        coprime[::p] = bytes(len(range(0, n, p)))
-    step = tau / n
-    return fsum(cos(step * (k * q % n)) for k in compress(range(n), coprime))
+        if m % p:
+            t -= t // p
+        else:
+            units[::p] = bytes(len(range(0, m, p)))
+    cosines = map(cos, map(mul, repeat(tau / n), compress(range(0, n, g), units)))
+    if t == 1:
+        return fsum(cosines)
+    values = array("d", cosines)
+    bits = [float(1 << k) for k in range(t.bit_length()) if t >> k & 1]
+    return fsum(chain.from_iterable(map(mul, values, repeat(b)) for b in bits))
 
 
 def _kluyver(n: int, q: int) -> int:
@@ -238,7 +263,10 @@ def ramanujan_sum(n: int, q: int, method: str = "kluyver") -> int:
       cyclotomic polynomial, via Newton's identities (c_n has period n in q);
     * ``definition`` -- floating-point cosine sum rounded to the nearest
       integer, raising :class:`DefinitionResidualError` when the residual
-      exceeds 1e-6.  Exists purely as an independent numeric oracle.
+      exceeds 1e-6.  Exists purely as an independent numeric oracle.  It
+      evaluates phi(n/g) cosines, each distinct term once, and sums them
+      with their multiplicities exactly, so the float is that of the
+      term-by-term sum over all phi(n) residues coprime to n.
 
     All methods agree; ``q = 0`` is allowed and gives phi(n).
     """

@@ -1,12 +1,13 @@
 """Run the command-line tool at its largest bounds and check each run.
 
-Seven runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
+Eight runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
 polynomial and coefficient suites, and ``table``, each at the largest bound
-the CLI accepts, and ``compute`` by ``recursive`` at two large indices with
+the CLI accepts, the Ramanujan suite also at its cosine-term bound with
+``--max-q 0``, and ``compute`` by ``recursive`` at two large indices with
 many divisors.  Every run must exit 0; a ``verify`` run must print its
 exact check count with no failures, ``table`` must write 5000 rows whose
 bytes have the pinned sha256, and a ``compute`` run must print the pinned
-bytes of the default algorithm.  Four runs have a bound on the child's
+bytes of the default algorithm.  Five runs have a bound on the child's
 peak RSS.  Prints the wall time and the peak RSS of every run and exits 1
 if any run fails.  Standard library only; run it with
 
@@ -40,6 +41,11 @@ RUNS = {
     "ramanujan": (
         ["verify", "--suite", "ramanujan", "--max-n", "1", "--max-q", "999999"],
         "4000000 checks, 0 failures",
+        64,
+    ),
+    "ramanujan_14001": (
+        ["verify", "--suite", "ramanujan", "--max-n", "14001", "--max-q", "0"],
+        "369068 checks, 0 failures",
         64,
     ),
     "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", 100),

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -248,10 +249,49 @@ class TestRamanujanSum:
         [1, 2, 3, 97, 4093, 19997, 2187, 4096, 15625, 16129, 4097, 2310, 18018, 20000],
     )
     def test_cosine_sum_is_bit_identical_to_the_oracle(self, n):
-        for q in (0, 1, 2, 7, n - 1, n, 3 * n + 2, 10**18, 2**63):
+        # q sharing each prime p of n, so that every gcd(n, q) > 1 case runs
+        shared = [q for p, _ in arith.factorize(n) for q in (n // p, p, p * 1001)]
+        for q in [0, 1, 2, 7, n - 1, n, 5 * n, 3 * n + 2, 10**18, 2**63] + shared:
             value = arith._cosine_sum(n, q)
             assert value == naive_cosine_sum(n, q), (n, q)
             assert round(value) == arith.ramanujan_sum(n, q, "kluyver"), (n, q)
+
+    @given(
+        st.integers(min_value=1, max_value=3000),
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=1, max_value=3000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_cosine_sum_matches_the_oracle_at_random_points(self, n, q, k):
+        # a random q is mostly coprime to n; the second is a multiple of gcd(n, k)
+        for q in (q, q // n * math.gcd(n, k)):
+            assert arith._cosine_sum(n, q) == naive_cosine_sum(n, q), (n, q)
+
+    def test_cosine_sum_evaluates_one_cosine_per_unit_of_n_over_gcd(self, monkeypatch):
+        angles = []
+        monkeypatch.setattr(arith, "cos", lambda x: angles.append(x) or math.cos(x))
+        for n in (1, 2, 12, 97, 360, 2310, 4096, 20000):
+            for q in (0, 1, 2, 6, 35, n // 2, n - 1, n, 10**18):
+                angles.clear()
+                arith._cosine_sum(n, q)
+                assert len(angles) == arith.totient(n // math.gcd(n, q)), (n, q)
+
+    def test_definition_peaks_small_and_factorizes_nothing_new(self):
+        # q = 1 sieves n bytes; q = 2 holds phi(n/2) doubles
+        n = 200_000
+        expected = {q: arith.ramanujan_sum(n, q) for q in (0, 1, 2, 10**5)}
+        entries = arith._factorize.cache_info().currsize
+        tracemalloc.start()
+        try:
+            for q, value in expected.items():
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                assert arith.ramanujan_sum(n, q, "definition") == value
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak < 2**20, (q, peak)
+        finally:
+            tracemalloc.stop()
+        assert arith._factorize.cache_info().currsize == entries
 
     def test_definition_retains_no_memory(self):
         # each call sieves n transient bytes and keeps nothing but the

@@ -276,6 +276,35 @@ def test_table_and_bench_bound_max_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_an_out_path_that_cannot_be_opened_is_a_usage_error(tmp_path, capsys):
+    # a missing directory and a directory: exit 2 with a message, not a
+    # traceback and exit 1, the code of a failed identity
+    for out in (tmp_path / "missing" / "out", tmp_path):
+        for args in (
+            ["table", "--max-n", "5", "--out", str(out)],
+            ["bench", "--max-n", "5", "--algorithms", "recursive", "--out", str(out)],
+        ):
+            assert run_cli(args) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot write --out: "), captured.err
+            assert str(out) in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_an_os_error_after_opening_out_is_not_a_usage_error(tmp_path, monkeypatch):
+    def failing(n, algorithm):
+        raise OSError("not from opening --out")
+
+    monkeypatch.setattr(cyclo, "cyclotomic", failing)
+    for args in (
+        ["table", "--max-n", "5", "--out", str(tmp_path / "t.json")],
+        ["bench", "--max-n", "5", "--algorithms", "recursive", "--out", str(tmp_path / "b.csv")],
+    ):
+        with pytest.raises(OSError, match="not from opening --out"):
+            run_cli(args)
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert run_cli(["compute", "--n", "5", "--frobnicate"]) == 2
 
