@@ -57,8 +57,8 @@ from __future__ import annotations
 
 import struct
 from itertools import accumulate, compress, count, islice, repeat
-from math import gcd, isqrt, prod
-from operator import add, itemgetter, mul, neg
+from math import gcd
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 
@@ -222,27 +222,6 @@ def _mul_packed(p: Sequence[int], q: Sequence[int]) -> list:
     bound = poly_height(p) * poly_height(q) * min(len(p), len(q))
     width = _slot_width(bound.bit_length() + 1)
     return _unpack(_pack(p, width) * _pack(q, width), width, len(p) + len(q) - 1)
-
-
-def product_height_bound(norms: Iterable[tuple[int, int]]) -> int:
-    """An integer at least the height of a product of polynomials and of each
-    of its factors, from each factor's ``(sum of squared coefficients, sum of
-    absolute coefficients)``.
-
-    With f1 and f2 the two factors of largest absolute sum, the height of
-    ``f1*f2*...*fk`` is at most ``||f1||_2 * ||f2||_2 * prod_{i>=3} ||fi||_1``:
-    by Cauchy-Schwarz a coefficient of ``f1*g`` is at most
-    ``||f1||_2 * ||g||_2``, and by Young's inequality ``||f2*h||_2`` is at most
-    ``||f2||_2 * ||h||_1``, with ``||h||_1`` at most the product of its
-    factors' sums.  Every norm of a nonzero integer polynomial is at least 1,
-    so the bound covers each factor too.  A zero factor makes the product
-    zero and is left out of the bound; the empty product is 1.
-    """
-    pairs = sorted(filter(itemgetter(1), norms), key=itemgetter(1))
-    if not pairs:
-        return 1
-    squares = pairs[-1][0] * pairs[-2][0] if len(pairs) > 1 else pairs[-1][0]
-    return (isqrt(squares - 1) + 1) * prod(map(itemgetter(1), pairs[:-2]))
 
 
 def _is_two_term(q: list) -> bool:

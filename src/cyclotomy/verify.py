@@ -44,37 +44,31 @@ The dual Mobius inversion ``Phi_nm = prod_{d|m} Phi_n(X^d)**mu(m/d)`` is a
 quotient, but it is checked as a product, ``prod(num) == prod(den) * Phi_nm``:
 exactly equivalent in Z[X], and no check divides polynomials.
 
-The fundamental product, the power substitution at a coprime pair and the
-dual inversion are each decided by comparing two integers: the values of
-both sides at X = 2**w.  ``intpoly``'s Kronecker codec packs a list into
-its value at 2**w; a product's value is the product of its factors' values,
-and Phi_n(X**d) at 2**w is Phi_n packed at 2**(w*d), so a passing check
-builds no product polynomial.  Two facts make the comparison exact, with H
-the largest absolute coefficient:
-
-* If H(P) and H(Q) are below 2**(w-1), then P(2**w) == Q(2**w) only when
-  P == Q: otherwise the lowest nonzero coefficient of P - Q, below 2**w in
-  absolute value, would have to be a nonzero multiple of 2**w.
-* H(f1*f2*...*fk) <= ||f1||_2 * ||f2||_2 * prod_{i>=3} ||fi||_1, by
-  Cauchy-Schwarz and then Young's inequality, with f1 and f2 the factors of
-  largest absolute sum; it bounds each single factor too, as packing needs.
-  Phi_k(X**d) has the norms of Phi_k.  ``intpoly.product_height_bound``
-  computes the bound in integers from each factor's sum of squares and sum
-  of absolute values.
-
-w is the least whole number of bytes above both sides' bounds, and the
-norms are those of the very lists that get packed, so a corrupted Phi
-widens the slot.  Every Phi_k the checks take, as a list, a value or a
-norm, is one read of ``cyclo._cyclotomic_cached``, which a sweep makes once
-per k, so a corrupted cache entry reaches every side that reads it.  A
-sweep packs Phi_k once per width for its whole run while the value is at
-most ``_CACHED_VALUE_BITS`` long, and anew at each use above that; each
-check multiplies the values of its own factors.  Where the values differ,
-and wherever the degree of a check's larger side times w is above
-``_EVALUATION_BITS``, the check builds both sides as polynomials and
-compares them, so a failure carries the same witness as ever.  So do the
-checks at the pairs (n, 1), whose sides are each one polynomial, which that
-route only copies and compares.
+The polynomial sweep decides most of its checks by deduction.  Write S_k
+for X -> X**k, a ring endomorphism of Z[X], and P(n, m) for the
+power substitution at a coprime pair, over any family of polynomials Phi_k.
+For m = m1*m2 with gcd(m1, m2) = 1, applying S_m2 to P(n, m1) and then
+P(d1*n, m2) to each factor, d1 | m1, gives P(n, m), because the products
+d1*d2 run over the divisors of m exactly once; every pair used is coprime
+with a product of at most n*m.  So the checks at m = 1 and at the prime
+powers m imply every other power substitution.  The dual inversion at
+(n, m) follows from P(n, d) for d | m: both sides are then products of the
+Phi_en, e | m, and the exponent of Phi_en differs between them by the sum
+of mu(m/d) over e | d | m, minus [e = m], which is 0.  The argument needs
+the divisor lists and the Mobius values the checks read to be the true
+ones, so the sweep first checks them: each divisor list against [1, p,
+..., p**a] at a prime power and against the sorted products over the split
+k = p**a * rest elsewhere, p the least prime of k, and the sum of mu(d)
+over d | j against [j = 1] for every j, which fixes mu.  It then computes
+the fundamental product at every n, the power substitution at every
+coprime (n, m) with m = 1 or a prime power, and every non-coprime
+certificate, all through one store of the Phi it reads, the store every
+deduced check would read.  If the premises hold and each of these passes,
+it counts the other checks as passes.  Otherwise it runs every check at
+every pair, so the failures, their order and their witnesses are those of
+the pairwise checks.  Each check builds both of its sides as polynomials
+and compares them; products and substitutions come out as canonical lists,
+so equal polynomials compare equal as lists.
 """
 
 from __future__ import annotations
@@ -82,7 +76,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, repeat
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 from operator import add, eq, floordiv, mul
 
 from . import arith, cyclo, intpoly
@@ -163,8 +157,8 @@ def check_polynomial_identities(n: int, m: int) -> list:
 
     Always checks the fundamental identity at n.  For coprime pairs it
     additionally checks the power-substitution product and the dual Mobius
-    inversion, multiplied out (as values at a power of two, or as
-    polynomials); for non-coprime pairs it confirms that the two sides of the
+    inversion, each with both sides multiplied out as polynomials; for
+    non-coprime pairs it confirms that the two sides of the
     power-substitution identity differ (the counterexample behaviour).
     """
     arith._check_index(n)
@@ -175,119 +169,57 @@ def check_polynomial_identities(n: int, m: int) -> list:
     return _reports((("n", n), ("m", m)), outcomes)
 
 
-# A check is decided by the values of its sides at X = 2**w while the degree
-# of its larger side times w is at most this many bits, and by multiplying out
-# the polynomials above it, where the slot width the norms give, several
-# times the widths poly_prod finds from actual heights, costs more than the
-# packing it saves.  Timed per check, both routes, Python 3.11 on 2 vCPUs,
-# over every check of sweep_polynomial(2000) and of every third n of
-# sweep_polynomial(5000), in buckets of 2**b to 2**(b+1) bits: below 32768
-# bits evaluation won every bucket from 256 bits up for the power
-# substitution and the dual inversion (2000, power substitution at 16384 to
-# 32767: 0.40 vs 0.59 s over 1891 checks), and the fundamental product from
-# 4096 bits up (its smaller checks took under 15 ms in all, either way).
-# From 32768 to 65535 it won at 5000 (power substitution 1.41 vs 1.82 s,
-# dual inversion 2.07 vs 2.86 s, fundamental product 0.22 vs 0.24 s, which
-# lost it at 2000, 0.33 vs 0.27 s); from 65536 to 131071 it lost the power
-# substitution (3.32 vs 2.70 s) and the fundamental product (0.37 vs
-# 0.30 s), and above that every identity.
-_EVALUATION_BITS = 65536
-
-
-def _norms(p) -> tuple:
-    # (sum of squared coefficients, sum of absolute coefficients)
-    return sum(map(mul, p, p)), sum(map(abs, p))
-
-
-def _evaluation_width(degree: int, *sides) -> int:
-    # The least whole number of bytes w above the height bound of each side's
-    # product, which bounds each of its factors too; ``sides`` holds one list
-    # of factor norms per side.  0 when ``degree``, the larger side's, times
-    # w is above _EVALUATION_BITS: the polynomial route is then the cheaper.
-    bound = max(map(intpoly.product_height_bound, sides))
-    width = intpoly._slot_width(bound.bit_length() + 1)
-    return width if degree * width <= _EVALUATION_BITS else 0
-
-
-# _PhiReads keeps a packed value of at most this many bits.  A longer one,
-# mostly Phi_n lifted by a large d that few m share, costs little to pack
-# again next to the products it joins.  Keeping every one for the whole sweep
-# made ``verify --suite poly --max-n 5000`` peak at 201 MB RSS against 84 MB,
-# for 30.5-36.0 s against 33.6-41.9 s, within the spread of four alternating
-# fresh runs each, and was no faster at 500 (medians of 20 runs, 0.264 s
-# both; Python 3.11, 2 vCPUs).
-_CACHED_VALUE_BITS = 4096
-
-
 class _PhiReads(dict):
-    """Phi_k as ``cyclo._cyclotomic_cached`` returns it, with its norms, read
-    once per k, and its values at powers of two, each packed once per slot
-    width while it is at most _CACHED_VALUE_BITS long; every Phi the
-    polynomial checks take, as a list, a norm or a value, comes from here.
-    A sweep keeps one for its whole run, which dies with it.  Phi_n(X**d) at
-    X = 2**w is Phi_n at 2**(w*d), so a lifted factor is ``value(n, w * d)``.
-    """
-
-    def __init__(self):
-        super().__init__()
-        self._packed = {}
+    """Phi_k as ``cyclo._cyclotomic_cached`` returns it, read once per k;
+    every Phi the polynomial checks take comes from here.  A sweep keeps one
+    for its whole run, which dies with it."""
 
     def __missing__(self, k: int) -> tuple:
-        poly = cyclo._cyclotomic_cached(k)
-        self[k] = entry = poly, _norms(poly)
-        return entry
+        self[k] = poly = cyclo._cyclotomic_cached(k)
+        return poly
 
     def product(self, indices) -> list:
         """The product of Phi_k over ``indices``, as a polynomial."""
-        return intpoly.poly_prod([self[k][0] for k in indices])
-
-    def norms(self, indices) -> list:
-        """The norms of Phi_k for each k in ``indices``."""
-        return [self[k][1] for k in indices]
-
-    def value(self, k: int, width: int) -> int:
-        """Phi_k(2**width)."""
-        value = self._packed.get((k, width))
-        if value is None:
-            value = intpoly._pack(self[k][0], width)
-            if value.bit_length() <= _CACHED_VALUE_BITS:
-                self._packed[k, width] = value
-        return value
+        return intpoly.poly_prod([self[k] for k in indices])
 
 
 def _fundamental(n: int, divisors, reads: _PhiReads) -> str | None:
     # The outcome of the fundamental identity at n, from the divisors of n.
-    # The factors' bound alone rules out most large n before the norms of
-    # X**n - 1 are taken.
-    rhs = cyclo._x_pow_minus_1(n)
-    factors = reads.norms(divisors)
-    width = _evaluation_width(n, factors)
-    width = width and _evaluation_width(n, factors, [_norms(rhs)])
-    if width and prod(map(reads.value, divisors, repeat(width))) == intpoly._pack(rhs, width):
-        return None
-    return _equal(reads.product(divisors), rhs)
+    return _equal(reads.product(divisors), cyclo._x_pow_minus_1(n))
 
 
 def _polynomial_checks(n: int, m: int, fundamental, divisors, reads: _PhiReads) -> list:
     # ``fundamental`` is _fundamental(n, ...), which depends on n only, so a
     # sweep computes it once per n rather than once per pair; ``divisors``
     # are those of m.
-    outcomes = [("fundamental_product", fundamental)]
+    outcomes = [("fundamental_product", fundamental), _substitution(n, m, divisors, reads)]
+    if gcd(n, m) == 1:
+        outcomes.append(_dual_inversion(n, m, divisors, reads))
+    return outcomes
+
+
+def _substitution(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
+    # The power substitution's outcome at a coprime pair, the
+    # counterexample's at another, as (identity name, witness).
     indices = [d * n for d in divisors]
-    phi_n = reads[n][0]
-    if gcd(n, m) != 1:
+    phi_n = reads[n]
+    if gcd(n, m) == 1:
+        name, compare = "power_substitution_product", _equal
+    else:
         # Degrees add in Z[X], so when m*phi(n) differs from the sum of
         # phi(dn) over d | m the two sides differ, and neither is built.  The
         # degrees are read from the lengths of the cached, canonical Phi.
-        if sum(len(reads[k][0]) - 1 for k in indices) != m * (len(phi_n) - 1):
-            return outcomes + [("noncoprime_counterexample", None)]
-        substituted = intpoly.substitute_power(phi_n, m)
-        rhs = reads.product(indices)
-        return outcomes + [("noncoprime_counterexample", _distinct(substituted, rhs))]
-    # The dual inversion's factors Phi_n(X**d), by the sign of mu(m/d): d = m,
-    # the last divisor, has mu(1) = 1 and is also the power substitution's
-    # left side.  Phi_nm joins the denominator: in the integral domain Z[X],
-    # Phi_nm == prod(num) / prod(den) exactly when prod(num) == prod(den) * Phi_nm.
+        name, compare = "noncoprime_counterexample", _distinct
+        if sum(len(reads[k]) - 1 for k in indices) != m * (len(phi_n) - 1):
+            return name, None
+    return name, compare(intpoly.substitute_power(phi_n, m), reads.product(indices))
+
+
+def _dual_inversion(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
+    # The factors Phi_n(X**d), by the sign of mu(m/d): d = m, the last
+    # divisor, has mu(1) = 1.  Phi_nm joins the denominator: in the integral
+    # domain Z[X], Phi_nm == prod(num) / prod(den) exactly when
+    # prod(num) == prod(den) * Phi_nm.
     num, den = [m], []
     for d in divisors[:-1]:
         mu = arith.mobius(m // d)
@@ -295,28 +227,10 @@ def _polynomial_checks(n: int, m: int, fundamental, divisors, reads: _PhiReads) 
             num.append(d)
         elif mu == -1:
             den.append(d)
-    degree = len(phi_n) - 1
-    # At m = 1 each side is one polynomial: the polynomial route multiplies
-    # nothing and compares the lists.
-    width = m > 1 and _evaluation_width(degree * m, reads.norms([n]), reads.norms(indices))
-    if width and reads.value(n, m * width) == prod(map(reads.value, indices, repeat(width))):
-        outcomes.append(("power_substitution_product", None))
-    else:
-        substituted = intpoly.substitute_power(phi_n, m)
-        rhs = reads.product(indices)
-        outcomes.append(("power_substitution_product", _equal(substituted, rhs)))
-    width = m > 1 and _evaluation_width(
-        degree * sum(num), reads.norms([n] * len(num)), reads.norms([n * m] + [n] * len(den))
-    )
-    lifted_product = lambda ds: prod(map(reads.value, repeat(n), map(width.__mul__, ds)))
-    if width and lifted_product(num) == reads.value(n * m, width) * lifted_product(den):
-        outcomes.append(("dual_inversion", None))
-    else:
-        lifted = lambda ds: [intpoly.substitute_power(phi_n, d) for d in ds]
-        num_side = intpoly.poly_prod(lifted(num))
-        den_side = intpoly.poly_prod([reads[n * m][0]] + lifted(den))
-        outcomes.append(("dual_inversion", _equal(num_side, den_side)))
-    return outcomes
+    lifted = lambda ds: [intpoly.substitute_power(reads[n], d) for d in ds]
+    num_side = intpoly.poly_prod(lifted(num))
+    den_side = intpoly.poly_prod([reads[n * m]] + lifted(den))
+    return "dual_inversion", _equal(num_side, den_side)
 
 
 # ---------------------------------------------------------------------------
@@ -465,19 +379,61 @@ def _divisor_table(max_n: int):
 
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
-    n*m <= max_n, computing the fundamental product once per n, reading each
-    Phi_k and its norms once, and packing each Phi_k once per slot width up
-    to ``_CACHED_VALUE_BITS``, all through one store that dies with the
-    sweep."""
+    n*m <= max_n, reading each Phi_k once through one store that dies with
+    the sweep.  If the checks at m = 1 and at the prime powers m pass, and
+    the divisor lists and Mobius values read are the true ones, the others
+    follow and are only counted; otherwise every check runs, with the
+    fundamental product once per n."""
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
     reads = _PhiReads()
+    checks = _polynomial_checks_if_all_pass(max_n, divisors, reads)
+    if checks is not None:
+        result.checks = checks
+        return result
     for n in range(1, max_n + 1):
         fundamental = _fundamental(n, divisors(n), reads)
         for m in range(1, max_n // n + 1):
             outcomes = _polynomial_checks(n, m, fundamental, divisors(m), reads)
             _collect(result, (("n", n), ("m", m)), outcomes)
     return result
+
+
+def _polynomial_checks_if_all_pass(max_n: int, divisors, reads: _PhiReads):
+    """The number of checks of :func:`_polynomial_checks` at the pairs
+    n*m <= max_n if each of them passes, else None.
+
+    Checks the premises of the deduction in the module docstring on the
+    divisor lists ``divisors`` hands out and on ``arith.mobius``, then
+    computes the fundamental product at every n and :func:`_substitution`
+    at every non-coprime pair and every coprime pair with m = 1 or a prime
+    power; the power substitution at the other coprime pairs and every dual
+    inversion follow from those.  Three checks are counted at each coprime
+    pair and two at each other pair, as the core makes.
+    """
+    # By induction on k, each list is the divisors of k in increasing order,
+    # and then the sums fix mu(k) = -(the sum of mu(d) over d | k, d < k).
+    for k in range(1, max_n + 1):
+        factors = arith._factorize(k)
+        p, a = factors[0] if factors else (1, 0)
+        if len(factors) < 2:
+            expected = [p**i for i in range(a + 1)]
+        else:
+            expected = sorted(x * y for x in divisors(p**a) for y in divisors(k // p**a))
+        if divisors(k).tolist() != expected or sum(map(arith.mobius, divisors(k))) != (k == 1):
+            return None
+    checks = 0
+    for n in range(1, max_n + 1):
+        if _fundamental(n, divisors(n), reads) is not None:
+            return None
+        for m in range(1, max_n // n + 1):
+            coprime = gcd(n, m) == 1
+            checks += 2 + coprime
+            if coprime and len(arith._factorize(m)) > 1:
+                continue  # follows from the checks at its prime powers
+            if _substitution(n, m, divisors(m), reads)[1] is not None:
+                return None
+    return checks
 
 
 def sweep_totient(max_n: int) -> SweepResult:

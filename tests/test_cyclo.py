@@ -115,16 +115,17 @@ class TestCyclotomic:
         for r in [k for k in range(1, 3001) if arith.mobius(k)] + [30030, 255255, 199999, 2 * 99991]:
             assert cyclo._squarefree_series(r) == cyclo._mobius_product(r), r
 
-    @pytest.mark.parametrize("r", [2, 15, 105, 30030])
+    @pytest.mark.parametrize("r", [r for r in range(1, 2000) if arith.mobius(r)] + [30030])
     def test_squarefree_series_checks_catch_a_wrong_mobius_sign(self, r, monkeypatch):
-        # flip mu(r/d) at each divisor d that the series reads (d < phi(r)/2 + 2);
-        # only the value at 1 sees the flip at r = 2, only the palindrome
-        # check the flip at r = 15, d = 3
+        # flip mu(r/d) at each divisor d that the series reads,
+        # d < min(phi(r)/2 + 10, phi(r) + 1): one of its two checks catches
+        # every such flip at every squarefree r < 2000, a census the
+        # comment in _squarefree_series cites
         real = arith.mobius
         expected = cyclo._mobius_product(r)
         cyclo._cyclotomic_cached.cache_clear()
         for d in arith.divisors(r):
-            if d >= arith.totient(r) // 2 + 2:
+            if d >= min(arith.totient(r) // 2 + 10, arith.totient(r) + 1):
                 break
             monkeypatch.setattr(arith, "mobius", lambda k: -real(k) if k == r // d else real(k))
             with pytest.raises(InternalIdentityError):

@@ -915,86 +915,6 @@ class TestOnlineConv:
         assert steps == list(range(1, deg // 2 + 1))
 
 
-def _norms(p):
-    return sum(c * c for c in p), sum(abs(c) for c in p)
-
-
-def _random_factors(rng, count, bits):
-    # ``count`` random polynomials with coefficients below 2**bits, some of
-    # them sparse, constant or zero, and trailing zeros now and then
-    factors = []
-    for _ in range(count):
-        length = rng.choice([0, 1, 2, 3, rng.randint(4, 40)])
-        top = 2**bits
-        p = [rng.choice([0, 0, rng.randint(-top, top)]) for _ in range(length)]
-        factors.append(p + [0] * rng.choice([0, 0, 0, 1]))
-    return factors
-
-
-def _width(*factor_lists):
-    # the slot width the bound gives for comparing the products of the lists
-    bound = max(intpoly.product_height_bound(map(_norms, fs)) for fs in factor_lists)
-    return intpoly._slot_width(bound.bit_length() + 1)
-
-
-class TestProductHeightBound:
-    def test_examples(self):
-        bound = intpoly.product_height_bound
-        assert bound([]) == 1
-        assert bound([(25, 7)]) == 5  # 3 - 4X: sqrt(25)
-        assert bound([(2, 2), (2, 2)]) == 2  # (X - 1)**2 = X**2 - 2X + 1
-        assert bound([(2, 2)] * 3) == 4  # (X - 1)**3 has height 3
-        assert bound([(3, 3), (0, 0), (2, 2)]) == 3  # ceil(sqrt(6)); the zero factor is left out
-        # the two factors of largest absolute sum take their 2-norms
-        assert bound([(1, 1), (10, 4), (5, 3)]) == 8
-
-    def test_bounds_the_product_and_each_factor(self):
-        rng = random.Random(20)
-        for trial in range(300):
-            factors = _random_factors(rng, rng.randint(1, 6), rng.choice([1, 3, 8, 40]))
-            bound = intpoly.product_height_bound(map(_norms, factors))
-            product = poly_prod(factors)
-            assert bound >= intpoly.poly_height(product), factors
-            for f in factors:
-                assert bound >= intpoly.poly_height(f), factors
-
-    def test_values_at_the_bound_width_compare_as_lists(self):
-        # P(2**w) == Q(2**w) exactly when P == Q, at the width the bound gives
-        # for both sides, and a product's value is its factors' values
-        # multiplied; coefficients up to 2**70 take slots above 64 bits
-        rng = random.Random(21)
-        for trial in range(300):
-            factors = _random_factors(rng, rng.randint(1, 5), rng.choice([1, 4, 30, 70]))
-            product = poly_prod(factors)
-            j = rng.randrange(len(product) + 1)
-            base = _width(factors)
-            others = [
-                product,
-                poly_add(product, [0] * j + [rng.choice([-1, 1])]),
-                # the same value as the product at 2**base, and a larger height
-                poly_add(product, [0] * j + [2**base, -1]),
-            ]
-            for other in others:
-                width = _width(factors, [other])
-                assert width >= base
-                packed = [intpoly._pack(f, width) for f in factors]
-                assert math.prod(packed) == intpoly._pack(product, width)
-                equal = intpoly._pack(other, width) == math.prod(packed)
-                assert equal == (trim(other) == product)
-
-    def test_lifted_values_are_values_at_a_wider_slot(self):
-        # p(X**d) at X = 2**w is p at 2**(w*d); w*d above 64 bits takes the
-        # codec's to_bytes path
-        rng = random.Random(22)
-        for trial in range(200):
-            (p,) = _random_factors(rng, 1, rng.choice([2, 20, 70]))
-            width = _width([p])
-            for d in (1, 2, 3, 9, 17):
-                lifted = intpoly._pack(p, width * d)
-                assert lifted == intpoly._pack(substitute_power(p, d), width)
-                assert lifted == poly_eval(p, 2 ** (width * d))
-
-
 class TestHelpers:
     def test_degree(self):
         assert intpoly.poly_degree([1, 2, 3]) == 2

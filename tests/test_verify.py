@@ -230,24 +230,13 @@ class TestSweeps:
             return poly
 
         monkeypatch.setattr(cyclo, "_x_pow_minus_1", corrupted)
-        pairwise = [
-            r
-            for n in range(1, 41)
-            for m in range(1, 40 // n + 1)
-            for r in check_polynomial_identities(n, m)
-        ]
-        result = verify.sweep_polynomial(40)
-        assert result.checks == len(pairwise)
-        assert result.failures == [r for r in pairwise if not r.passed]
-        assert len(result.failures) == 6  # m = 1 .. 6 at n = 6
+        assert len(self._sweep_failures_equal_the_pairwise_ones(40)) == 6  # m = 1 .. 6 at n = 6
 
     def test_polynomial_sweep_shares_a_product_only_at_its_slot_width(self, monkeypatch):
         # With Phi_1 read as -200 + X, Phi_1(2**16) * Phi_2(2**16) =
-        # 4281925432 is the fundamental product at 2 at w = 16, which the pair
-        # (1, 2) multiplies too, from values the sweep keeps.  A wrong
-        # X**2 - 1 read as that very constant needs 40-bit slots, where the
-        # product has another value; the fundamental check must multiply at
-        # its own width and fail.
+        # 4281925432 is the fundamental product at 2 evaluated at X = 2**16.
+        # A wrong X**2 - 1 read as that very constant must still fail the
+        # fundamental check, whose sides are compared as polynomials.
         for k in range(1, 9):
             cyclo.cyclotomic_poly(k)
         cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
@@ -257,37 +246,28 @@ class TestSweeps:
         monkeypatch.setattr(
             cyclo, "_x_pow_minus_1", lambda n: [4281925432] if n == 2 else x_pow_minus_1(n)
         )
-        pairwise = [
-            r
-            for n in range(1, 9)
-            for m in range(1, 8 // n + 1)
-            for r in check_polynomial_identities(n, m)
-        ]
-        result = verify.sweep_polynomial(8)
-        assert result.checks == len(pairwise)
-        assert result.failures == [r for r in pairwise if not r.passed]
+        failures = self._sweep_failures_equal_the_pairwise_ones(8)
         fundamental = _by_name(check_polynomial_identities(2, 1), "fundamental_product")
         assert fundamental.witness == "left = X^2 - 199*X - 200; right = 4281925432"
-        assert fundamental in result.failures
+        assert fundamental in failures
 
-    def test_polynomial_sweep_takes_the_fundamental_product_by_value(self, monkeypatch):
+    def test_polynomial_sweep_multiplies_only_the_checks_it_computes(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi multiplies or substitutes
             cyclo.cyclotomic_poly(k)
-        products, polys, x_pow_minus_1 = [
-            self._count_calls(monkeypatch, module, name)
-            for module, name in (
-                (verify._PhiReads, "product"),
-                (intpoly, "poly_prod"),
-                (cyclo, "_x_pow_minus_1"),
-            )
-        ]
+        products = self._count_calls(monkeypatch, verify._PhiReads, "product")
         assert verify.sweep_polynomial(60).passed
-        # every check up to 60 with a product to take is decided by values at
-        # a power of two; only the pairs (n, 1), whose sides are each one
-        # polynomial, take the polynomial route, which multiplies nothing
-        assert [indices for _, indices in products] == [[n] for n in range(1, 61)]
-        assert {len(factors) for factors, in polys} == {1}
-        assert len(x_pow_minus_1) == 60
+        # the fundamental product at each n, then the power substitution's
+        # right side at each coprime pair (n, m) with m = 1 or a prime power;
+        # every non-coprime pair up to 60 is decided by degree
+        expected = []
+        for n in range(1, 61):
+            expected.append(arith.divisors(n))
+            expected += [
+                [d * n for d in arith.divisors(m)]
+                for m in range(1, 60 // n + 1)
+                if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
+            ]
+        assert [list(indices) for _, indices in products] == expected
 
     def _count_calls(self, monkeypatch, module, name):
         calls = []
@@ -316,35 +296,79 @@ class TestSweeps:
         assert verify.sweep_polynomial(60).passed
         assert len(calls) == 60
 
-    def test_polynomial_sweep_lifts_each_dual_factor_by_value(self, monkeypatch):
+    def test_polynomial_sweep_substitutes_only_at_m_one_or_a_prime_power(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi substitutes X**e either
             cyclo.cyclotomic_poly(k)
+        index = {id(cyclo._cyclotomic_cached(k)): k for k in range(1, 61)}
         calls = self._count_calls(monkeypatch, intpoly, "substitute_power")
         assert verify.sweep_polynomial(60).passed
-        # Phi_n(X**d) at X = 2**w is Phi_n packed at 2**(w*d), so no power is
-        # substituted but X**1, on the polynomial route of the pairs (n, 1)
-        assert {d for _, d in calls} == {1}
-        assert len(calls) == 2 * 60
+        # Phi_n(X**m) at each coprime pair with m = 1 or a prime power, and
+        # nowhere else; poly_prod's lifts from its exponent lattice take
+        # products, not a cached Phi
+        assert [(index[id(p)], m) for p, m in calls if id(p) in index] == [
+            (n, m)
+            for n in range(1, 61)
+            for m in range(1, 60 // n + 1)
+            if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
+        ]
 
-    def test_polynomial_sweep_packs_each_phi_value_once(self, monkeypatch):
-        for k in range(1, 61):  # so no cold Phi packs a factor of its own
+    @staticmethod
+    def _sweep_failures_equal_the_pairwise_ones(max_n):
+        # sweep_polynomial(max_n) against the public check at every pair:
+        # the same count and the same failures, witnesses included
+        pairwise = [
+            r
+            for n in range(1, max_n + 1)
+            for m in range(1, max_n // n + 1)
+            for r in check_polynomial_identities(n, m)
+        ]
+        result = verify.sweep_polynomial(max_n)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        return result.failures
+
+    def test_polynomial_sweep_computes_the_checks_at_prime_powers(self, monkeypatch):
+        # Phi_9 read as Phi_9 * (X + 2) and X**9 - 1 as the product of the
+        # Phi_d it reads: every fundamental product holds, and only (1, 9),
+        # a prime power m, fails, which no check at m = 1 implies
+        for k in range(1, 13):  # the Phi cache builds Phi_9 from X**9 - 1
             cyclo.cyclotomic_poly(k)
-        index = {id(cyclo._cyclotomic_cached(k)): k for k in range(1, 61)}
-        packs = []
-        real = intpoly._pack
+        cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
+        phi_9 = tuple(intpoly.poly_mul(cached(9), [2, 1]))
+        x_9 = intpoly.poly_mul(x_pow_minus_1(9), [2, 1])
+        monkeypatch.setattr(cyclo, "_cyclotomic_cached", lambda k: phi_9 if k == 9 else cached(k))
+        monkeypatch.setattr(cyclo, "_x_pow_minus_1", lambda n: x_9 if n == 9 else x_pow_minus_1(n))
+        failures = self._sweep_failures_equal_the_pairwise_ones(12)
+        assert [(f.identity_name, f.params) for f in failures] == [
+            ("power_substitution_product", (("n", 1), ("m", 9))),
+            ("dual_inversion", (("n", 1), ("m", 9))),
+        ]
 
-        def counting(p, width):
-            value = real(p, width)
-            # X**n - 1 is a list, never a cached Phi; a longer value is
-            # packed anew at each use by design
-            if id(p) in index and value.bit_length() <= verify._CACHED_VALUE_BITS:
-                packs.append((index[id(p)], width))
-            return value
+    def test_polynomial_sweep_checks_the_mobius_values_it_reads(self, monkeypatch):
+        # mu(6) read as -1 fails only dual inversions, at (1, 6) and
+        # (1, 12), where the checks at m = 1 and the prime powers all hold
+        for k in range(1, 13):  # the Phi cache reads mu too
+            cyclo.cyclotomic_poly(k)
+        real = arith.mobius
+        monkeypatch.setattr(arith, "mobius", lambda k: -1 if k == 6 else real(k))
+        failures = self._sweep_failures_equal_the_pairwise_ones(12)
+        assert [(f.identity_name, f.params) for f in failures] == [
+            ("dual_inversion", (("n", 1), ("m", 6))),
+            ("dual_inversion", (("n", 1), ("m", 12))),
+        ]
 
-        monkeypatch.setattr(intpoly, "_pack", counting)
-        assert verify.sweep_polynomial(60).passed
-        assert packs
-        assert len(packs) == len(set(packs))
+    def test_polynomial_sweep_checks_the_divisor_lists_it_reads(self, monkeypatch):
+        # the divisors of 6 read as [1, 2, 6, 3]: every product is the same,
+        # but the dual inversion at (1, 6) skips the last entry, 3, as if it
+        # were m, and lifts Phi_1 by 6 twice
+        for k in range(1, 13):  # the Phi cache reads divisor lists too
+            cyclo.cyclotomic_poly(k)
+        real = arith.divisors
+        monkeypatch.setattr(arith, "divisors", lambda k: [1, 2, 6, 3] if k == 6 else real(k))
+        failures = self._sweep_failures_equal_the_pairwise_ones(12)
+        assert [(f.identity_name, f.params) for f in failures] == [
+            ("dual_inversion", (("n", 1), ("m", 6))),
+        ]
 
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
@@ -794,22 +818,12 @@ def _corrupted_phi(draw, max_k):
 def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corruption(corruption):
     # One Phi_k, k <= 40, is corrupted in the cache, which every read of the
     # checks goes through.  The sweep reports the failures of the pairwise
-    # polynomial comparison, witnesses included, whether every check takes
-    # the polynomial route (cutoff 0) or the values decide, and whether the
-    # values are packed anew at every use (cap 0) or kept.
+    # polynomial comparison, witnesses included.
     for k in range(1, 41):  # the real cache holds every Phi the sweep reads
         cyclo.cyclotomic_poly(k)
     k, coeffs = corruption
     real = cyclo._cyclotomic_cached
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cyclo, "_cyclotomic_cached", lambda n: coeffs if n == k else real(n))
-        expected = _pairwise_polynomial_failures(40)
-        for cutoff, cap in (
-            (0, verify._CACHED_VALUE_BITS),
-            (verify._EVALUATION_BITS, 0),
-            (verify._EVALUATION_BITS, verify._CACHED_VALUE_BITS),
-        ):
-            mp.setattr(verify, "_EVALUATION_BITS", cutoff)
-            mp.setattr(verify, "_CACHED_VALUE_BITS", cap)
-            result = verify.sweep_polynomial(40)
-            assert (result.checks, result.failures) == expected
+        result = verify.sweep_polynomial(40)
+        assert (result.checks, result.failures) == _pairwise_polynomial_failures(40)
