@@ -266,10 +266,10 @@ def build_parser() -> argparse.ArgumentParser:
         "ramanujan",
         help="print the Ramanujan sum c_n(q)",
         description="Print the Ramanujan sum c_n(q).  The closed forms accept any "
-        "n up to 2**63 - 1.  The newton method builds Phi_n and runs Newton's "
-        "identities by divide and conquer on packed multiplies, O(M(n) log n) "
-        "for M(n) the cost of one n-term multiply (a few seconds at n = "
-        "199999); definition evaluates phi(n / gcd(n, q)) cosines (about "
+        "n up to 2**63 - 1.  The newton method builds Phi_n and takes its "
+        "power sums from one power-series inverse and one multiply, O(M(n)) "
+        "for M(n) the cost of one n-term multiply (about 0.2 s at n = 199999, "
+        "q = 199998); definition evaluates phi(n / gcd(n, q)) cosines (about "
         "20 ms at n = 199999, q = 1).  Both take n <= %d."
         % MAX_CLI_N,
     )

@@ -26,8 +26,8 @@ with exact integer polynomial arithmetic:
 * ``newton_ramanujan`` -- coefficients from the Ramanujan sums c_n(q) via
   Newton's identities, entirely division-free on the polynomial level.  One
   Kluyver sum per divisor of n gives every c_n(q), and the identities run
-  by divide and conquer on packed multiplies, in O(M(n) log n) rather than
-  quadratic time.
+  by Newton doubling on the series-inverse kernel, in O(M(n)) rather than
+  quadratic time for M(n) the cost of one n-term multiply.
 
 All five return identical polynomials; the test suite verifies the
 agreement exhaustively.

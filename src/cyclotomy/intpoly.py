@@ -17,8 +17,9 @@ with a big integer holding the top bit of every slot converts between
 two's-complement slots and the signed packed value.  Wider slots take the
 same XOR rule but convert each coefficient with ``int.to_bytes``.
 
-Two-term operands ``c0 + c*X**k``, such as ``X**d - 1``, take linear-time
-routes at every size.  A product with one is ``c0*p + X**k*c*p``, built
+A product with a constant is a scaling, and two-term operands
+``c0 + c*X**k``, such as ``X**d - 1``, take linear-time routes at every
+size.  A product with a two-term operand is ``c0*p + X**k*c*p``, built
 from slices and ``map``.  Exact division of a two-term dividend
 ``c0 + c*X**d`` by ``±(X**k - 1)`` is the closed-form geometric series
 ``±c*(1 + X**k + ... + X**(d-k))``, exact precisely when ``k`` divides ``d``
@@ -45,12 +46,13 @@ over a dividend that is not on it takes the full-size route, and two-term
 divisors keep their linear-time route at every size.
 
 Newton's identities, in both directions between coefficients and root
-power sums, are online convolutions: each new term needs the sum of
-products of all earlier terms with a known sequence.  One divide-and-conquer
-kernel evaluates both.  It solves the left half of a range, adds the
-left half's whole contribution to the right half with one ``poly_mul``, and
-only runs the scalar loop on short ranges, so n terms cost O(M(n) log n)
-instead of n**2/2 scalar products.
+power sums, run on the series-inverse kernel.  With R the reversal of a
+monic p, ``X*R'/R`` is minus the power-sum series, so the power sums are
+one series inverse and one multiply, and the coefficients solve
+``X*R' = sigma*R`` for the given power-sum series ``sigma`` by Newton
+doubling, carrying ``1/R`` across the doublings.  Both cost O(M(n)) for
+M(n) the cost of one n-term multiply (Bostan, Flajolet, Salvy and Schost,
+J. Symbolic Comput. 41, 2006).
 """
 
 from __future__ import annotations
@@ -264,6 +266,10 @@ def poly_mul(p: Sequence[int], q: Sequence[int]) -> IntPoly:
     p, q = _canonical(p), _canonical(q)
     if not p or not q:
         return []
+    if len(p) == 1:
+        p, q = q, p
+    if len(q) == 1:  # a constant needs no packing
+        return p[:] if q[0] == 1 else _scale(p, q[0])
     if _is_two_term(q):
         return _mul_binomial(p, q)
     if _is_two_term(p):
@@ -323,23 +329,30 @@ def _div_school(p: list, q: list) -> IntPoly:
     return trim(out)
 
 
-def _series_inverse(b: list, k: int) -> list:
-    """Inverse of ``b`` modulo ``X**k`` over the integers; needs ``b[0] in {1,-1}``.
+def _inverse_step(b: list, inv: list, prec: int) -> None:
+    """Extend ``inv``, the inverse of ``b`` modulo ``X**h`` for ``h = len(inv)``,
+    in place to the inverse modulo ``X**prec``, for ``h < prec <= 2*h``.
 
-    Returns exactly ``k`` coefficients (trailing zeros kept).  Newton's
-    iteration doubles the precision ``h`` of ``inv`` each step.  Since
-    ``b*inv == 1 + X**h*e`` already holds, the new inverse is
-    ``inv - X**h*inv*e`` modulo ``X**prec``, so a step multiplies only the
+    Since ``b*inv == 1 + X**h*e`` already holds, the new inverse is
+    ``inv - X**h*inv*e`` modulo ``X**prec``, so the step multiplies only the
     error terms ``e`` (terms ``h .. prec-1`` of ``b*inv``) by
     ``inv[:prec-h]``.
     """
+    h = len(inv)
+    err = poly_mul(b[:prec], inv)[h:prec]
+    inv += map(neg, poly_mul(inv[: prec - h], err)[: prec - h])
+    inv += repeat(0, prec - len(inv))
+
+
+def _series_inverse(b: list, k: int) -> list:
+    """Inverse of ``b`` modulo ``X**k`` over the integers; needs ``b[0] in {1,-1}``.
+
+    Returns exactly ``k`` coefficients (trailing zeros kept), by inverse
+    Newton steps that each double the precision.
+    """
     inv = [b[0]]
     while len(inv) < k:
-        h = len(inv)
-        prec = min(2 * h, k)
-        err = poly_mul(b[:prec], inv)[h:prec]
-        inv += map(neg, poly_mul(inv[: prec - h], err)[: prec - h])
-        inv += repeat(0, prec - len(inv))
+        _inverse_step(b, inv, min(2 * len(inv), k))
     return inv
 
 
@@ -498,70 +511,28 @@ def poly_eval(p: Sequence[int], x: int) -> int:
 # ---------------------------------------------------------------------------
 # Newton's identities: coefficients <-> power sums of roots
 
-# Ranges of at most this many indices, and every range when the known
-# sequence is this short, are finished by the scalar loop; longer ranges are
-# split in two, and the block product of a split range (r//2 by r-1 terms)
-# is one packed multiply.  Timed on the Newton step of Phi_n for phi(n) from
-# 960 to 30010, min of 3, leaves of 48 to 128 were within noise of each
-# other (n = 30011: 270 to 313 ms); 192 was up to 1.3x slower (n = 36363:
-# 353 vs 272 ms).
-_NEWTON_LEAF = 96
-
-
-def _online_conv(g: list, f: Sequence[int], finish) -> list:
-    """Fill ``g[k] = finish(k, sum(g[j]*f[k-j] for j < k))`` for ``k >= 1``, in place.
-
-    ``g[0]`` is given and every later ``g[k]`` must start at 0; ``f[0]`` is
-    never read, and terms past the end of ``f`` count as zero.  Indices are
-    finished in increasing ``k``.  A range is solved left half first; the
-    whole contribution of the left half to the right half is then one
-    ``poly_mul``, parked in ``g`` until the right half is solved the same
-    way.  This is relaxed multiplication: O(M(n) log n) instead of the
-    n**2/2 products of the scalar loop.
-    """
-    flen = len(f)
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo <= _NEWTON_LEAF or flen <= _NEWTON_LEAF:
-            for k in range(max(lo, 1), hi):
-                j = max(lo, k - flen + 1)
-                g[k] = finish(k, g[k] + sum(map(mul, g[j:k], f[k - j : 0 : -1])))
-            return
-        mid = (lo + hi) // 2
-        solve(lo, mid)
-        # part[i] belongs to index lo + 1 + i; keep the indices in [mid, hi)
-        part = poly_mul(g[lo:mid], f[1 : min(hi - lo, flen)])
-        end = min(hi, lo + 1 + len(part))
-        if end > mid:
-            g[mid:end] = map(add, g[mid:end], part[mid - lo - 1 : end - lo - 1])
-        solve(mid, hi)
-
-    solve(0, len(g))
-    return g
-
-
 def power_sums(p: Sequence[int], q_max: int) -> list:
     """Power sums ``S_0 .. S_q_max`` of the roots of a monic polynomial.
 
     ``S_q`` is the sum of q-th powers of the roots of ``p`` counted with
     multiplicity, computed purely from the coefficients by Newton's
     identities; every value is an integer.  ``S_0`` equals the degree.
+    With R the reversal of p, ``sum(S_k X**k for k >= 1) == -X*R'/R``, so
+    ``S_k`` is minus the coefficient of ``X**(k-1)`` in ``R' * (1/R)``;
+    only the top ``q_max + 1`` coefficients of p enter.
     """
-    p = trim(p)
+    p = _canonical(p)
     if len(p) < 2 or p[-1] != 1:
         raise NotMonicError("power sums require a monic polynomial of degree >= 1")
     if q_max < 0:
         raise ValueError("q_max must be >= 0")
     n = len(p) - 1
-    m = min(q_max, n)
-    e = p[n - m :][::-1]  # e[j] = p[n-j], the only coefficients S_1 .. S_q_max use
-
-    def finish(q: int, acc: int) -> int:
-        # S_q = -(e_1 S_{q-1} + ... + e_{q-1} S_1) - q e_q, with e_q = 0 for q > n
-        return -acc - q * e[q] if q <= m else -acc
-
-    s = _online_conv([0] * (q_max + 1), e, finish)  # S_0 enters no sum: 0 for now
-    s[0] = n
+    r = p[n - min(q_max, n) :]
+    r.reverse()
+    deriv = list(map(mul, islice(r, 1, None), count(1)))
+    s = [n]
+    s += map(neg, poly_mul(deriv, _series_inverse(r, q_max))[:q_max])
+    s += repeat(0, q_max + 1 - len(s))
     return s
 
 
@@ -572,24 +543,50 @@ def coeffs_from_power_sums(s: Sequence[int], n_degree: int) -> IntPoly:
     Inverts Newton's identities, asserting that every division by the step
     index is exact; raises ``InexactDivisionError`` otherwise (the input was
     not the power-sum sequence of a monic integer polynomial).
+
+    The reversal R of the result solves ``X*R' == sigma*R`` with
+    ``sigma = -sum(S_k X**k)`` and ``R(0) == 1``.  Newton doubling lifts R
+    from ``h`` correct terms to ``h2 <= 2*h``: with ``E`` the terms
+    ``h .. h2-1`` of ``sigma*R`` and ``D = E/R``, ``R*(1 + X**h*delta)`` is
+    correct to ``h2`` terms for ``delta_k = D_(k-h)/k``.  Each ``delta_k``
+    differs from the coefficient of ``X**k`` by a sum of products of earlier
+    integer terms, so the first inexact division is the scalar recurrence's,
+    after the same divisions by 1 .. k-1.  The precisions are
+    ``ceil((n_degree+1) / 2**i)`` from the top down, so the last step ends
+    exactly at ``n_degree + 1`` terms, and ``1/R`` is carried across the
+    steps, one inverse Newton step each.
     """
     if n_degree < 1:
         raise ValueError("degree must be >= 1")
     if len(s) < n_degree + 1:
         raise ValueError("need power sums S_1 .. S_%d" % n_degree)
-
-    def finish(step: int, acc: int) -> int:
-        # step * e_step = -(e_0 S_step + ... + e_{step-1} S_1)
-        coeff, res = divmod(-acc, step)
-        if res:
-            raise InexactDivisionError(
-                "power sums do not come from a monic integer polynomial"
-            )
-        return coeff
-
-    # e[j] is the coefficient of X**(n_degree - j): e[0] = 1 for a monic result
-    e = _online_conv([1] + [0] * n_degree, s, finish)
-    return e[::-1]
+    sigma = [0]
+    sigma += map(neg, islice(s, 1, n_degree + 1))
+    precs = []
+    h = n_degree + 1
+    while h > 1:
+        precs.append(h)
+        h = (h + 1) // 2
+    r = [1]  # r[j] is the coefficient of X**(n_degree - j)
+    inv = [1]
+    for h2 in reversed(precs):
+        h = len(r)
+        if len(inv) < h:
+            _inverse_step(r, inv, h)
+        err = poly_mul(sigma[:h2], r)[h:h2]
+        d = poly_mul(err, inv[: h2 - h])[: h2 - h]
+        d += repeat(0, h2 - h - len(d))  # a zero term is still a division step
+        delta = []
+        for coeff, res in map(divmod, d, count(h)):
+            if res:
+                raise InexactDivisionError(
+                    "power sums do not come from a monic integer polynomial"
+                )
+            delta.append(coeff)
+        r += poly_mul(r[: h2 - h], delta)[: h2 - h]
+        r += repeat(0, h2 - len(r))
+    r.reverse()
+    return r
 
 
 # ---------------------------------------------------------------------------

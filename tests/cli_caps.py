@@ -1,14 +1,16 @@
 """Run the command-line tool at its largest bounds and check each run.
 
-Eight runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
+Eleven runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
 polynomial and coefficient suites, and ``table``, each at the largest bound
 the CLI accepts, the Ramanujan suite also at its cosine-term bound with
-``--max-q 0``, and ``compute`` by ``recursive`` at two large indices with
-many divisors.  Every run must exit 0; a ``verify`` run must print its
-exact check count with no failures, ``table`` must write 5000 rows whose
-bytes have the pinned sha256, and a ``compute`` run must print the pinned
-bytes of the default algorithm.  Five runs have a bound on the child's
-peak RSS.  Prints the wall time and the peak RSS of every run and exits 1
+``--max-q 0``, ``compute`` by ``recursive`` and by ``newton_ramanujan`` at
+two large indices with many divisors, and ``ramanujan --method newton`` at
+the largest prime index the CLI accepts.  Every run must exit 0; a
+``verify`` run must print its exact check count with no failures, the
+``ramanujan`` run its value, ``table`` must write 5000 rows whose bytes
+have the pinned sha256, and a ``compute`` run must print the pinned bytes
+of the default algorithm.  Five runs have a bound on the child's peak
+RSS.  Prints the wall time and the peak RSS of every run and exits 1
 if any run fails.  Standard library only; run it with
 
     python3 tests/cli_caps.py
@@ -30,8 +32,8 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
 
 TABLE_SHA256 = "39c7ecad18478fbed9fdd424b58f2d258b08d8c0e346e8da72ccdf3c9bdf30f2"
 
-# name: (CLI arguments, the check count stdout must report, peak RSS bound
-# in MB); ``table`` writes to the path given as {out}.
+# name: (CLI arguments, the check count or value stdout must report, peak
+# RSS bound in MB); ``table`` writes to the path given as {out}.
 RUNS = {
     "totient": (
         ["verify", "--suite", "totient", "--max-n", "200000"],
@@ -52,6 +54,13 @@ RUNS = {
     "coeff": (["verify", "--suite", "coeff", "--max-n", "5000"], "19996 checks, 0 failures", None),
     "recursive_180180": (["compute", "--n", "180180", "--algorithm", "recursive"], None, None),
     "recursive_199290": (["compute", "--n", "199290", "--algorithm", "recursive"], None, None),
+    "newton_180180": (["compute", "--n", "180180", "--algorithm", "newton_ramanujan"], None, None),
+    "newton_199290": (["compute", "--n", "199290", "--algorithm", "newton_ramanujan"], None, None),
+    "ramanujan_newton": (
+        ["ramanujan", "--method", "newton", "--n", "199999", "--q", "199998"],
+        "c_199999(199998) = -1",
+        None,
+    ),
     # last: its check loads the table into this process, about 200 MB, and
     # the peak RSS of a child forked after that counts the pages it inherits
     "table": (["table", "--max-n", "5000", "--out", "{out}"], None, 40),
@@ -63,6 +72,8 @@ STDOUT_SHA256 = {
     "recursive_180180": "97033d16dd06514f63c438c296e46dda4093a3d6a049c280165a7887dfb96392",
     "recursive_199290": "1a78d4b735ec2cec947c71a884db0983100ccddadf74edbd7a2798a18ee70e72",
 }
+STDOUT_SHA256["newton_180180"] = STDOUT_SHA256["recursive_180180"]
+STDOUT_SHA256["newton_199290"] = STDOUT_SHA256["recursive_199290"]
 
 
 def run_cli(args):

@@ -3,10 +3,10 @@ import random
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cyclotomy import intpoly
+from cyclotomy import cyclo, intpoly
 from cyclotomy.intpoly import (
     InexactDivisionError,
     NotDivisibleError,
@@ -67,6 +67,16 @@ class TestMul:
 
     @given(small_poly, small_poly)
     @settings(max_examples=300, deadline=None)
+    # constant operands 0, 1, -1 and others, on either side, skip packing
+    @example([0], [3, -1, 4])
+    @example([3, -1, 4], [0, 0])
+    @example([1], [3, -1, 0, 4])
+    @example([3, -1, 0, 4], [1])
+    @example([-1], [0, 2, 0, -5])
+    @example([0, 2, 0, -5], [-1, 0])
+    @example([7], [3, -1, 4])
+    @example([3, -1, 4], [-12])
+    @example([5], [-3])
     def test_against_oracle(self, p, q):
         assert poly_mul(p, q) == naive_mul(trim(p), trim(q))
 
@@ -841,15 +851,18 @@ def _random_monic(rng, deg):
     return [rng.randint(-bound, bound) for _ in range(deg)] + [1]
 
 
-class TestOnlineConv:
-    """Newton's identities by divide and conquer against the scalar recurrence."""
+# N + 1 = 2**k - 1, 2**k, 2**k + 1 and 2**k + 2 for k = 5 .. 8: the doubling
+# steps over the precisions ceil((N+1) / 2**i) then go from h to 2*h or to
+# 2*h - 1 terms, at the top step and below it
+_SCHEDULE_EDGES = [2**k + j for k in range(5, 9) for j in (-2, -1, 0, 1)]
+
+
+class TestNewtonIdentities:
+    """Newton's identities by Newton doubling against the scalar recurrence."""
 
     def test_power_sums_match_scalar_recurrence(self):
-        # degrees up to 300 cross the leaf size: block products run from
-        # the smallest split range up to 150 by 299 terms
         rng = random.Random(7)
-        leaf = intpoly._NEWTON_LEAF
-        for deg in sorted(rng.sample(range(1, 301), 40)) + [1, leaf, leaf + 1, 2 * leaf + 1]:
+        for deg in sorted(rng.sample(range(1, 301), 40)) + [1] + _SCHEDULE_EDGES:
             p = _random_monic(rng, deg)
             for q_max in (0, rng.randint(0, deg - 1), deg, 2 * deg + 1):
                 assert power_sums(p, q_max) == naive_power_sums(p, q_max), (deg, q_max)
@@ -858,16 +871,15 @@ class TestOnlineConv:
         for p in ([-1, 1], [6, -5, 1], [1, -2, 0, 1], [-1, 0, 0, 1], [2, 1, -3, 1]):
             deg = len(p) - 1
             assert power_sums(p, 5000) == naive_power_sums(p, 5000), deg
-        # a known sequence past the leaf size, still far shorter than the output
+        # a longer known polynomial, still far shorter than the output
         rng = random.Random(3)
-        for deg in (intpoly._NEWTON_LEAF - 5, intpoly._NEWTON_LEAF + 20):
+        for deg in (91, 116):
             p = [rng.randint(-1, 1) for _ in range(deg)] + [1]
             assert power_sums(p, 10 * deg) == naive_power_sums(p, 10 * deg), deg
 
     def test_coeffs_roundtrip_and_scalar_recurrence(self):
         rng = random.Random(11)
-        leaf = intpoly._NEWTON_LEAF
-        for deg in sorted(rng.sample(range(1, 301), 40)) + [1, leaf, leaf + 1, 2 * leaf + 1]:
+        for deg in sorted(rng.sample(range(1, 301), 40)) + [1] + _SCHEDULE_EDGES:
             p = _random_monic(rng, deg)
             sums = power_sums(p, deg)
             assert coeffs_from_power_sums(sums, deg) == p, deg
@@ -882,14 +894,13 @@ class TestOnlineConv:
 
     def test_perturbed_power_sum_is_inexact(self):
         # Raising S_k by 1 raises the step-k numerator by e_0 = 1, so step k
-        # (k >= 2) is the first inexact one, whichever route reaches it.
-        deg = 4 * intpoly._NEWTON_LEAF + 3
+        # (k >= 2) is the first inexact one, whichever doubling reaches it.
+        deg = 387
         rng = random.Random(13)
         p = _random_monic(rng, deg)
         sums = power_sums(p, deg)
-        inside_first_leaf = (2, intpoly._NEWTON_LEAF // 4)
         boundaries = ((deg + 1) // 2, (deg + 1) // 4, 3 * (deg + 1) // 4)
-        for k in (*inside_first_leaf, *boundaries, deg - 1, deg):
+        for k in (2, 24, *boundaries, deg - 1, deg):
             bad = list(sums)
             bad[k] += 1
             assert naive_coeffs_from_power_sums(bad, deg) is None, k
@@ -899,7 +910,7 @@ class TestOnlineConv:
     def test_first_inexact_step_raises(self, monkeypatch):
         # Indices finish in increasing k: every step before the fault runs,
         # and nothing after it.
-        deg = 3 * intpoly._NEWTON_LEAF
+        deg = 288
         sums = power_sums(_random_monic(random.Random(17), deg), deg)
         sums[deg // 2] += 1
         steps = []
@@ -913,6 +924,18 @@ class TestOnlineConv:
         with pytest.raises(InexactDivisionError):
             coeffs_from_power_sums(sums, deg)
         assert steps == list(range(1, deg // 2 + 1))
+        # deg // 2 ends the doubling from 73 to 145 terms; 100 lies inside it
+        sums[deg // 2] -= 1
+        sums[100] += 1
+        steps.clear()
+        with pytest.raises(InexactDivisionError):
+            coeffs_from_power_sums(sums, deg)
+        assert steps == list(range(1, 101))
+
+    def test_newton_ramanujan_matches_the_default_algorithm(self):
+        # phi(4096) = 2048 is a power of two; 2999 is prime
+        for n in (4096, 4097, 2999, 30030):
+            assert cyclo.cyclotomic(n, "newton_ramanujan").poly == cyclo.cyclotomic_poly(n), n
 
 
 class TestHelpers:
