@@ -16,9 +16,11 @@ builds at its start for every index up to its bound, and that die with it:
 one array of 32-bit integers per k <= max_n holding the divisors of k, each
 taken from ``arith.divisors`` once, which a lookup hands out as stored.  A
 check core reads shared values through what its caller passes in: the
-fundamental product's outcome at n, the divisors of m, one store of the Phi
-it reads, and lookups ``phi(k)``, ``divisors(k)`` and ``c(N, q, method)``
-that a public check binds to ``arith`` and a sweep to its tables.
+fundamental product's outcome at n, the divisors of m, and lookups
+``phi(k)``, ``divisors(k)`` and ``c(N, q, method)`` that a public check
+binds to ``arith`` and a sweep to its tables.  Every Phi_k the polynomial
+checks take is a read of the memoised ``cyclo._cyclotomic_cached``, so each
+read of Phi_k gives the same polynomial.
 
 The totient and Ramanujan sweeps first check their identities a whole row at
 a time, comparing both sides over the row with ``map``, ``operator`` and
@@ -54,21 +56,24 @@ with a product of at most n*m.  So the checks at m = 1 and at the prime
 powers m imply every other power substitution.  The dual inversion at
 (n, m) follows from P(n, d) for d | m: both sides are then products of the
 Phi_en, e | m, and the exponent of Phi_en differs between them by the sum
-of mu(m/d) over e | d | m, minus [e = m], which is 0.  The argument needs
-the divisor lists and the Mobius values the checks read to be the true
-ones, so the sweep first checks them: each divisor list against [1, p,
-..., p**a] at a prime power and against the sorted products over the split
-k = p**a * rest elsewhere, p the least prime of k, and the sum of mu(d)
-over d | j against [j = 1] for every j, which fixes mu.  It then computes
-the fundamental product at every n, the power substitution at every
-coprime (n, m) with m = 1 or a prime power, and every non-coprime
-certificate, all through one store of the Phi it reads, the store every
-deduced check would read.  If the premises hold and each of these passes,
-it counts the other checks as passes.  Otherwise it runs every check at
-every pair, so the failures, their order and their witnesses are those of
-the pairwise checks.  Each check builds both of its sides as polynomials
-and compares them; products and substitutions come out as canonical lists,
-so equal polynomials compare equal as lists.
+of mu(m/d) over e | d | m, minus [e = m], which is 0.  The fundamental
+identity at n compares the product of Phi_d over d | n with X**n - 1, and
+P(1, n) compares the same product with Phi_1(X**n); so where X**n - 1 ==
+Phi_1(X**n), the fundamental identity at n is P(1, n), which follows as
+above.  The argument needs the divisor lists and the Mobius values the
+checks read to be the true ones, so the sweep first checks them: each
+divisor list against [1, p, ..., p**a] at a prime power and against the
+sorted products over the split k = p**a * rest elsewhere, p the least
+prime of k, and the sum of mu(d) over d | j against [j = 1] for every j,
+which fixes mu.  It then checks X**n - 1 == Phi_1(X**n) at every n, and
+computes the power substitution at every coprime (n, m) with m = 1 or a
+prime power and every non-coprime certificate.  If the premises hold and
+each of these passes, it counts the other checks, the fundamental
+identities among them, as passes.  Otherwise it runs every check at every
+pair, so the failures, their order and their witnesses are those of the
+pairwise checks.  Each check builds both of its sides as polynomials and
+compares them; products and substitutions come out as canonical lists, so
+equal polynomials compare equal as lists.
 """
 
 from __future__ import annotations
@@ -163,46 +168,32 @@ def check_polynomial_identities(n: int, m: int) -> list:
     """
     arith._check_index(n)
     arith._check_index(m, "m")
-    reads = _PhiReads()
-    fundamental = _fundamental(n, arith.divisors(n), reads)
-    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m), reads)
+    fundamental = _fundamental(n, arith.divisors(n))
+    outcomes = _polynomial_checks(n, m, fundamental, arith.divisors(m))
     return _reports((("n", n), ("m", m)), outcomes)
 
 
-class _PhiReads(dict):
-    """Phi_k as ``cyclo._cyclotomic_cached`` returns it, read once per k;
-    every Phi the polynomial checks take comes from here.  A sweep keeps one
-    for its whole run, which dies with it."""
-
-    def __missing__(self, k: int) -> tuple:
-        self[k] = poly = cyclo._cyclotomic_cached(k)
-        return poly
-
-    def product(self, indices) -> list:
-        """The product of Phi_k over ``indices``, as a polynomial."""
-        return intpoly.poly_prod([self[k] for k in indices])
-
-
-def _fundamental(n: int, divisors, reads: _PhiReads) -> str | None:
+def _fundamental(n: int, divisors) -> str | None:
     # The outcome of the fundamental identity at n, from the divisors of n.
-    return _equal(reads.product(divisors), cyclo._x_pow_minus_1(n))
+    return _equal(cyclo._cyclotomic_product(divisors), cyclo._x_pow_minus_1(n))
 
 
-def _polynomial_checks(n: int, m: int, fundamental, divisors, reads: _PhiReads) -> list:
+def _polynomial_checks(n: int, m: int, fundamental, divisors) -> list:
     # ``fundamental`` is _fundamental(n, ...), which depends on n only, so a
     # sweep computes it once per n rather than once per pair; ``divisors``
     # are those of m.
-    outcomes = [("fundamental_product", fundamental), _substitution(n, m, divisors, reads)]
+    outcomes = [("fundamental_product", fundamental), _substitution(n, m, divisors)]
     if gcd(n, m) == 1:
-        outcomes.append(_dual_inversion(n, m, divisors, reads))
+        outcomes.append(_dual_inversion(n, m, divisors))
     return outcomes
 
 
-def _substitution(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
+def _substitution(n: int, m: int, divisors) -> tuple:
     # The power substitution's outcome at a coprime pair, the
     # counterexample's at another, as (identity name, witness).
     indices = [d * n for d in divisors]
-    phi_n = reads[n]
+    cached = cyclo._cyclotomic_cached
+    phi_n = cached(n)
     if gcd(n, m) == 1:
         name, compare = "power_substitution_product", _equal
     else:
@@ -210,12 +201,12 @@ def _substitution(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
         # phi(dn) over d | m the two sides differ, and neither is built.  The
         # degrees are read from the lengths of the cached, canonical Phi.
         name, compare = "noncoprime_counterexample", _distinct
-        if sum(len(reads[k]) - 1 for k in indices) != m * (len(phi_n) - 1):
+        if sum(len(cached(k)) - 1 for k in indices) != m * (len(phi_n) - 1):
             return name, None
-    return name, compare(intpoly.substitute_power(phi_n, m), reads.product(indices))
+    return name, compare(intpoly.substitute_power(phi_n, m), cyclo._cyclotomic_product(indices))
 
 
-def _dual_inversion(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
+def _dual_inversion(n: int, m: int, divisors) -> tuple:
     # The factors Phi_n(X**d), by the sign of mu(m/d): d = m, the last
     # divisor, has mu(1) = 1.  Phi_nm joins the denominator: in the integral
     # domain Z[X], Phi_nm == prod(num) / prod(den) exactly when
@@ -227,9 +218,10 @@ def _dual_inversion(n: int, m: int, divisors, reads: _PhiReads) -> tuple:
             num.append(d)
         elif mu == -1:
             den.append(d)
-    lifted = lambda ds: [intpoly.substitute_power(reads[n], d) for d in ds]
+    phi_n = cyclo._cyclotomic_cached(n)
+    lifted = lambda ds: [intpoly.substitute_power(phi_n, d) for d in ds]
     num_side = intpoly.poly_prod(lifted(num))
-    den_side = intpoly.poly_prod([reads[n * m]] + lifted(den))
+    den_side = intpoly.poly_prod([cyclo._cyclotomic_cached(n * m)] + lifted(den))
     return "dual_inversion", _equal(num_side, den_side)
 
 
@@ -379,37 +371,37 @@ def _divisor_table(max_n: int):
 
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
-    n*m <= max_n, reading each Phi_k once through one store that dies with
-    the sweep.  If the checks at m = 1 and at the prime powers m pass, and
-    the divisor lists and Mobius values read are the true ones, the others
-    follow and are only counted; otherwise every check runs, with the
-    fundamental product once per n."""
+    n*m <= max_n.  If the checks at m = 1 and at the prime powers m pass,
+    X**n - 1 == Phi_1(X**n) at every n, and the divisor lists and Mobius
+    values read are the true ones, the others follow, the fundamental
+    identities among them, and are only counted; otherwise every check
+    runs, with the fundamental product once per n."""
     result = SweepResult("poly", 0, [])
     divisors = _divisor_table(max_n)
-    reads = _PhiReads()
-    checks = _polynomial_checks_if_all_pass(max_n, divisors, reads)
+    checks = _polynomial_checks_if_all_pass(max_n, divisors)
     if checks is not None:
         result.checks = checks
         return result
     for n in range(1, max_n + 1):
-        fundamental = _fundamental(n, divisors(n), reads)
+        fundamental = _fundamental(n, divisors(n))
         for m in range(1, max_n // n + 1):
-            outcomes = _polynomial_checks(n, m, fundamental, divisors(m), reads)
+            outcomes = _polynomial_checks(n, m, fundamental, divisors(m))
             _collect(result, (("n", n), ("m", m)), outcomes)
     return result
 
 
-def _polynomial_checks_if_all_pass(max_n: int, divisors, reads: _PhiReads):
+def _polynomial_checks_if_all_pass(max_n: int, divisors):
     """The number of checks of :func:`_polynomial_checks` at the pairs
     n*m <= max_n if each of them passes, else None.
 
     Checks the premises of the deduction in the module docstring on the
-    divisor lists ``divisors`` hands out and on ``arith.mobius``, then
-    computes the fundamental product at every n and :func:`_substitution`
+    divisor lists ``divisors`` hands out and on ``arith.mobius``, then, at
+    every n, the premise X**n - 1 == Phi_1(X**n) and :func:`_substitution`
     at every non-coprime pair and every coprime pair with m = 1 or a prime
-    power; the power substitution at the other coprime pairs and every dual
-    inversion follow from those.  Three checks are counted at each coprime
-    pair and two at each other pair, as the core makes.
+    power.  The power substitution at the other coprime pairs, every dual
+    inversion and every fundamental identity follow from those, and no
+    fundamental product is computed.  Three checks are counted at each
+    coprime pair and two at each other pair, as the core makes.
     """
     # By induction on k, each list is the divisors of k in increasing order,
     # and then the sums fix mu(k) = -(the sum of mu(d) over d | k, d < k).
@@ -423,15 +415,18 @@ def _polynomial_checks_if_all_pass(max_n: int, divisors, reads: _PhiReads):
         if divisors(k).tolist() != expected or sum(map(arith.mobius, divisors(k))) != (k == 1):
             return None
     checks = 0
+    phi_1 = cyclo._cyclotomic_cached(1)
     for n in range(1, max_n + 1):
-        if _fundamental(n, divisors(n), reads) is not None:
+        # X**n - 1 == Phi_1(X**n) makes the fundamental identity at n the
+        # power substitution at (1, n), which follows from those at (1, p**a)
+        if cyclo._x_pow_minus_1(n) != intpoly.substitute_power(phi_1, n):
             return None
         for m in range(1, max_n // n + 1):
             coprime = gcd(n, m) == 1
             checks += 2 + coprime
             if coprime and len(arith._factorize(m)) > 1:
                 continue  # follows from the checks at its prime powers
-            if _substitution(n, m, divisors(m), reads)[1] is not None:
+            if _substitution(n, m, divisors(m))[1] is not None:
                 return None
     return checks
 

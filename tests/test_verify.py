@@ -47,9 +47,8 @@ class TestPolynomialChecks:
         # the outcome the sweep decides by degree is the one that building
         # and comparing both sides gives, at every non-coprime n*m <= 300
         divisors = verify._divisor_table(300)
-        reads = verify._PhiReads()
         for n in range(2, 151):
-            fundamental = verify._fundamental(n, arith.divisors(n), reads)
+            fundamental = verify._fundamental(n, arith.divisors(n))
             for m in range(2, 300 // n + 1):
                 if gcd(n, m) == 1:
                     continue
@@ -58,7 +57,7 @@ class TestPolynomialChecks:
                     intpoly.substitute_power(cyclo.cyclotomic_poly(n), m),
                     intpoly.poly_prod(rhs),
                 )
-                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m), reads)
+                outcomes = verify._polynomial_checks(n, m, fundamental, divisors(m))
                 assert outcomes[0] == ("fundamental_product", None)
                 assert outcomes[-1] == ("noncoprime_counterexample", full)
 
@@ -232,11 +231,11 @@ class TestSweeps:
         monkeypatch.setattr(cyclo, "_x_pow_minus_1", corrupted)
         assert len(self._sweep_failures_equal_the_pairwise_ones(40)) == 6  # m = 1 .. 6 at n = 6
 
-    def test_polynomial_sweep_shares_a_product_only_at_its_slot_width(self, monkeypatch):
-        # With Phi_1 read as -200 + X, Phi_1(2**16) * Phi_2(2**16) =
-        # 4281925432 is the fundamental product at 2 evaluated at X = 2**16.
-        # A wrong X**2 - 1 read as that very constant must still fail the
-        # fundamental check, whose sides are compared as polynomials.
+    def test_polynomial_sweep_reports_a_wrong_phi_1_with_the_pairwise_witness(self, monkeypatch):
+        # Phi_1 read as -200 + X and X**2 - 1 as a constant: X - 1 differs
+        # from Phi_1, so the sweep deduces nothing and runs every check,
+        # and the fundamental check at 2 fails with the witness of the
+        # pairwise check, its sides compared as polynomials.
         for k in range(1, 9):
             cyclo.cyclotomic_poly(k)
         cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
@@ -254,20 +253,18 @@ class TestSweeps:
     def test_polynomial_sweep_multiplies_only_the_checks_it_computes(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi multiplies or substitutes
             cyclo.cyclotomic_poly(k)
-        products = self._count_calls(monkeypatch, verify._PhiReads, "product")
+        products = self._count_calls(monkeypatch, cyclo, "_cyclotomic_product")
         assert verify.sweep_polynomial(60).passed
-        # the fundamental product at each n, then the power substitution's
-        # right side at each coprime pair (n, m) with m = 1 or a prime power;
-        # every non-coprime pair up to 60 is decided by degree
-        expected = []
-        for n in range(1, 61):
-            expected.append(arith.divisors(n))
-            expected += [
-                [d * n for d in arith.divisors(m)]
-                for m in range(1, 60 // n + 1)
-                if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
-            ]
-        assert [list(indices) for _, indices in products] == expected
+        # the power substitution's right side at each coprime pair (n, m)
+        # with m = 1 or a prime power, and no fundamental product; every
+        # non-coprime pair up to 60 is decided by degree
+        expected = [
+            [d * n for d in arith.divisors(m)]
+            for n in range(1, 61)
+            for m in range(1, 60 // n + 1)
+            if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
+        ]
+        assert [indices for (indices,) in products] == expected
 
     def _count_calls(self, monkeypatch, module, name):
         calls = []
@@ -280,13 +277,13 @@ class TestSweeps:
         monkeypatch.setattr(module, name, counting)
         return calls
 
-    def test_polynomial_sweep_reads_each_phi_once_through_the_cache(self, monkeypatch):
+    def test_polynomial_sweep_reads_phi_only_through_the_cache(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi reads the cache itself
             cyclo.cyclotomic_poly(k)
         cached = self._count_calls(monkeypatch, cyclo, "_cyclotomic_cached")
         public = self._count_calls(monkeypatch, cyclo, "cyclotomic_poly")
         assert verify.sweep_polynomial(60).passed
-        assert sorted(cached) == [(k,) for k in range(1, 61)]
+        assert set(cached) == {(k,) for k in range(1, 61)}
         assert public == []
 
     def test_polynomial_sweep_builds_each_x_pow_minus_1_once_per_n(self, monkeypatch):
@@ -302,15 +299,19 @@ class TestSweeps:
         index = {id(cyclo._cyclotomic_cached(k)): k for k in range(1, 61)}
         calls = self._count_calls(monkeypatch, intpoly, "substitute_power")
         assert verify.sweep_polynomial(60).passed
-        # Phi_n(X**m) at each coprime pair with m = 1 or a prime power, and
-        # nowhere else; poly_prod's lifts from its exponent lattice take
+        # at each n, Phi_1(X**n) for the premise X**n - 1 == Phi_1(X**n),
+        # then Phi_n(X**m) at each coprime pair with m = 1 or a prime power,
+        # and nowhere else; poly_prod's lifts from its exponent lattice take
         # products, not a cached Phi
-        assert [(index[id(p)], m) for p, m in calls if id(p) in index] == [
-            (n, m)
-            for n in range(1, 61)
-            for m in range(1, 60 // n + 1)
-            if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
-        ]
+        expected = []
+        for n in range(1, 61):
+            expected.append((1, n))
+            expected += [
+                (n, m)
+                for m in range(1, 60 // n + 1)
+                if gcd(n, m) == 1 and len(arith.factorize(m)) < 2
+            ]
+        assert [(index[id(p)], m) for p, m in calls if id(p) in index] == expected
 
     @staticmethod
     def _sweep_failures_equal_the_pairwise_ones(max_n):
@@ -827,3 +828,40 @@ def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corrup
         mp.setattr(cyclo, "_cyclotomic_cached", lambda n: coeffs if n == k else real(n))
         result = verify.sweep_polynomial(40)
         assert (result.checks, result.failures) == _pairwise_polynomial_failures(40)
+
+
+@st.composite
+def _corrupted_read(draw, max_k):
+    """(name, k, value): ``cyclo._cyclotomic_cached(k)`` with one coefficient
+    below the leading one changed, ``cyclo._x_pow_minus_1(k)`` with one
+    coefficient changed, or a wrong ``arith.mobius(k)``."""
+    name = draw(st.sampled_from(["_cyclotomic_cached", "_x_pow_minus_1", "mobius"]))
+    k = draw(st.integers(1, max_k))
+    delta = draw(st.sampled_from([-2, -1, 1, 2]))
+    if name == "mobius":
+        return name, k, draw(st.sampled_from([v for v in (-1, 0, 1) if v != arith.mobius(k)]))
+    if name == "_x_pow_minus_1":
+        coeffs = cyclo._x_pow_minus_1(k)
+        coeffs[draw(st.integers(0, k))] += delta
+        return name, k, coeffs
+    coeffs = list(cyclo._cyclotomic_cached(k))
+    coeffs[draw(st.integers(0, len(coeffs) - 2))] += delta
+    return name, k, tuple(coeffs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(_corrupted_read(30))
+def test_polynomial_sweep_equals_the_pairwise_checks_under_a_corrupted_read(corruption):
+    # One value the polynomial checks read is wrong: a Phi_k, an X**k - 1 or
+    # a mu(k), k <= 30.  The sweep reports the count and the failures of the
+    # public check at every pair, witnesses included, whether it deduces or
+    # falls back; a wrong X**k - 1 fails only fundamental checks, which a
+    # deducing sweep never computes.
+    for k in range(1, 31):  # the Phi cache reads X**d - 1 and mu itself
+        cyclo.cyclotomic_poly(k)
+    name, k, value = corruption
+    module = arith if name == "mobius" else cyclo
+    real = getattr(module, name)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, lambda j: value if j == k else real(j))
+        TestSweeps._sweep_failures_equal_the_pairwise_ones(30)
