@@ -7,13 +7,14 @@ output is byte-identical across runs for identical inputs, except for the
 timing column of ``bench``, the only CSV writer.
 ``table`` and ``bench`` compute every Phi_n up to ``--max-n``, so they take
 it only up to MAX_TABLE_N.
+``json`` and ``signal`` are imported inside ``_dump`` and ``main``, their
+only users, so importing this module and building the parser, which every
+command pays for first, loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import signal
 import sys
 import time
 
@@ -54,6 +55,8 @@ def _check_cli_n(value: int, name: str, cap: int = MAX_CLI_N) -> None:
 
 
 def _dump(obj) -> str:
+    import json
+
     return json.dumps(obj, separators=(",", ":"))
 
 
@@ -331,6 +334,8 @@ def main() -> None:
     # A reader that closes the pipe early (``| head``) ends the process by
     # SIGPIPE, as it does any Unix filter, rather than with a traceback and
     # exit 1, the code of a failed check.  Python ignores SIGPIPE by default.
+    import signal
+
     signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run_cli(sys.argv[1:]))
 

@@ -35,7 +35,6 @@ agreement exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import gcd
@@ -186,31 +185,53 @@ _DISPATCH = {
 ALGORITHMS = tuple(_DISPATCH)
 
 
-@dataclass(frozen=True)
 class CyclotomicResult:
     """A computed cyclotomic polynomial together with its provenance.
 
     Invariants are checked on construction: the polynomial is monic of
-    degree phi(n), with constant term 1 for n > 1 (Phi_1 is X - 1).
+    degree phi(n), with constant term 1 for n > 1 (Phi_1 is X - 1).  The
+    fields cannot be assigned, results compare equal by their fields, and
+    they do not hash, since ``poly`` is a list.
     """
 
-    n: int
-    poly: list
-    algorithm: str
+    __slots__ = ("n", "poly", "algorithm")
 
-    def __post_init__(self) -> None:
-        if self.poly[-1] != 1:
-            raise InternalIdentityError("Phi_%d is not monic" % self.n)
-        if len(self.poly) - 1 != arith.totient(self.n):
+    def __init__(self, n: int, poly: list, algorithm: str) -> None:
+        if poly[-1] != 1:
+            raise InternalIdentityError("Phi_%d is not monic" % n)
+        if len(poly) - 1 != arith.totient(n):
             raise InternalIdentityError(
                 "deg Phi_%d is %d, expected phi(%d) = %d"
-                % (self.n, len(self.poly) - 1, self.n, arith.totient(self.n))
+                % (n, len(poly) - 1, n, arith.totient(n))
             )
-        expected = -1 if self.n == 1 else 1
-        if self.poly[0] != expected:
+        expected = -1 if n == 1 else 1
+        if poly[0] != expected:
             raise InternalIdentityError(
-                "Phi_%d(0) is %d, expected %d" % (self.n, self.poly[0], expected)
+                "Phi_%d(0) is %d, expected %d" % (n, poly[0], expected)
             )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "algorithm", algorithm)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _astuple(self) -> tuple:
+        return (self.n, self.poly, self.algorithm)
+
+    def __reduce__(self):
+        return CyclotomicResult, self._astuple()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "CyclotomicResult(n=%r, poly=%r, algorithm=%r)" % self._astuple()
 
 
 def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:

@@ -58,10 +58,10 @@ J. Symbolic Comput. 41, 2006).
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable, Sequence
 from itertools import accumulate, compress, count, islice, repeat
 from math import gcd
 from operator import add, mul, neg
-from typing import Iterable, Sequence
 
 
 class NotDivisibleError(ArithmeticError):

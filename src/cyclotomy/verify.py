@@ -79,7 +79,6 @@ equal polynomials compare equal as lists.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from itertools import chain, compress, cycle, islice, repeat
 from math import gcd, isqrt
 from operator import add, eq, floordiv, mul
@@ -109,20 +108,51 @@ IDENTITY_LABELS = frozenset(
 _WITNESS_TERMS = 40
 
 
-@dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one identity check at one parameter point."""
+    """Outcome of one identity check at one parameter point.
 
-    identity_name: str
-    params: tuple
-    passed: bool
-    witness: str | None = None
+    The fields cannot be assigned; reports compare equal, and hash, by
+    their fields.
+    """
 
-    def __post_init__(self) -> None:
-        if self.identity_name not in IDENTITY_LABELS:
-            raise ValueError("unknown identity label %r" % self.identity_name)
-        if not self.passed and self.witness is None:
+    __slots__ = ("identity_name", "params", "passed", "witness")
+
+    def __init__(
+        self, identity_name: str, params: tuple, passed: bool, witness: str | None = None
+    ) -> None:
+        if identity_name not in IDENTITY_LABELS:
+            raise ValueError("unknown identity label %r" % identity_name)
+        if not passed and witness is None:
             raise ValueError("a failed report requires a witness")
+        object.__setattr__(self, "identity_name", identity_name)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _astuple(self) -> tuple:
+        return (self.identity_name, self.params, self.passed, self.witness)
+
+    def __reduce__(self):
+        return CheckReport, self._astuple()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        return (
+            "CheckReport(identity_name=%r, params=%r, passed=%r, witness=%r)" % self._astuple()
+        )
 
 
 def _render(value) -> str:
@@ -340,13 +370,30 @@ def _coefficient_checks(n: int) -> list:
 # ---------------------------------------------------------------------------
 # sweeps
 
-@dataclass
 class SweepResult:
-    """Aggregate of a parameter sweep: total checks run and the failures."""
+    """Aggregate of a parameter sweep: total checks run and the failures.
 
-    suite: str
-    checks: int
-    failures: list
+    A sweep adds to ``checks`` and ``failures`` as it runs; results compare
+    equal by their fields.
+    """
+
+    __slots__ = ("suite", "checks", "failures")
+
+    def __init__(self, suite: str, checks: int, failures: list) -> None:
+        self.suite = suite
+        self.checks = checks
+        self.failures = failures
+
+    def _astuple(self) -> tuple:
+        return (self.suite, self.checks, self.failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "SweepResult(suite=%r, checks=%r, failures=%r)" % self._astuple()
 
     @property
     def passed(self) -> bool:

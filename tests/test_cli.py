@@ -334,6 +334,29 @@ def test_main_entry_point(capsys, monkeypatch):
     assert capsys.readouterr().out == "Phi_3(X) = X^2 + X + 1\n"
 
 
+def test_import_and_parser_load_no_module_the_library_does_not_use():
+    # Every command imports the package and builds the parser before any
+    # work.  json and signal are imported by the one function that uses
+    # each, and no result class is a dataclass, which loads inspect and ast.
+    # Only modules new since start-up count: a site hook may preload some.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "sys.path.insert(0, %r)\n"
+        "import cyclotomy.cli\n"
+        "cyclotomy.cli.build_parser()\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n" % str(src)
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cyclotomy.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "json", "signal", "typing"} == set()
+
+
 def test_verify_bounds_polynomial_suites(capsys):
     # poly, coeff and all build every Phi_n up to --max-n, like table
     start = time.perf_counter()

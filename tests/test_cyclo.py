@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from cyclotomy import arith, cyclo, intpoly
@@ -269,16 +271,33 @@ class TestCyclotomicOfPower:
 
 class TestResultValidation:
     def test_rejects_wrong_degree(self):
-        with pytest.raises(InternalIdentityError):
+        message = r"^deg Phi_4 is 1, expected phi\(4\) = 2$"
+        with pytest.raises(InternalIdentityError, match=message):
             CyclotomicResult(n=4, poly=[1, 1], algorithm="recursive")
 
     def test_rejects_non_monic(self):
-        with pytest.raises(InternalIdentityError):
+        with pytest.raises(InternalIdentityError, match="^Phi_4 is not monic$"):
             CyclotomicResult(n=4, poly=[1, 0, 2], algorithm="recursive")
 
     def test_rejects_wrong_constant_term(self):
-        with pytest.raises(InternalIdentityError):
+        with pytest.raises(InternalIdentityError, match=r"^Phi_4\(0\) is -1, expected 1$"):
             CyclotomicResult(n=4, poly=[-1, 0, 1], algorithm="recursive")
+
+    def test_result_is_an_immutable_record(self):
+        result = CyclotomicResult(12, [1, 0, -1, 0, 1], "radical")
+        assert result == CyclotomicResult(n=12, poly=[1, 0, -1, 0, 1], algorithm="radical")
+        assert result != CyclotomicResult(12, [1, 0, -1, 0, 1], "recursive")
+        assert result != (12, [1, 0, -1, 0, 1], "radical")
+        assert repr(result) == (
+            "CyclotomicResult(n=12, poly=[1, 0, -1, 0, 1], algorithm='radical')"
+        )
+        with pytest.raises(AttributeError):
+            result.n = 13
+        with pytest.raises(AttributeError):
+            del result.poly
+        with pytest.raises(TypeError):
+            hash(result)  # poly is a list
+        assert pickle.loads(pickle.dumps(result)) == result
 
     def test_exact_arithmetic_failures_surface_as_identity_errors(self, monkeypatch):
         # a division that should be exact by the identities but is not

@@ -1,4 +1,5 @@
 import hashlib
+import pickle
 import tracemalloc
 from math import gcd
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from cyclotomy import arith, cyclo, intpoly, verify
 from cyclotomy.verify import (
     CheckReport,
+    SweepResult,
     check_coefficient_facts,
     check_polynomial_identities,
     check_ramanujan_identities,
@@ -178,12 +180,47 @@ class TestCoefficientChecks:
 
 class TestCheckReport:
     def test_failed_report_requires_witness(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a failed report requires a witness$"):
             CheckReport("fundamental_product", (("n", 1),), False)
 
     def test_unknown_label_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^unknown identity label 'made_up_identity'$"):
             CheckReport("made_up_identity", (), True)
+
+    def test_report_is_an_immutable_hashable_record(self):
+        report = CheckReport("first_power_sum", (("n", 6),), False, "S_1 = 1")
+        same = CheckReport(
+            identity_name="first_power_sum", params=(("n", 6),), passed=False, witness="S_1 = 1"
+        )
+        assert report == same and hash(report) == hash(same)
+        assert report != CheckReport("first_power_sum", (("n", 6),), True)
+        assert report != ("first_power_sum", (("n", 6),), False, "S_1 = 1")
+        assert CheckReport("fundamental_product", (("n", 1),), True).witness is None
+        assert repr(report) == (
+            "CheckReport(identity_name='first_power_sum', params=(('n', 6),), "
+            "passed=False, witness='S_1 = 1')"
+        )
+        with pytest.raises(AttributeError):
+            report.passed = True
+        with pytest.raises(AttributeError):
+            del report.witness
+        assert pickle.loads(pickle.dumps(report)) == report
+
+    def test_sweep_result_is_a_mutable_record(self):
+        failure = CheckReport("fundamental_product", (("n", 1),), False, "w")
+        result = SweepResult("poly", 3, [failure])
+        assert result == SweepResult(suite="poly", checks=3, failures=[failure])
+        assert not result.passed and SweepResult("poly", 3, []).passed
+        assert repr(result) == (
+            "SweepResult(suite='poly', checks=3, failures=[CheckReport("
+            "identity_name='fundamental_product', params=(('n', 1),), passed=False, "
+            "witness='w')])"
+        )
+        result.checks -= 1
+        result.failures.append(failure)
+        assert result == SweepResult("poly", 2, [failure, failure])
+        with pytest.raises(TypeError):
+            hash(result)
 
     def test_witness_rendering_truncates(self):
         lhs = [1] * 101
