@@ -43,9 +43,16 @@ def _check_index(n: int, name: str = "n") -> None:
 # primality and factorization
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n < 2**64."""
+    """Deterministic Miller-Rabin, exact for all n < 2**64.
+
+    Raises ``ValueError`` for n >= 2**64: the witness set below is proven
+    only under that bound, and 318665857834031151167461 = 399165290221 *
+    798330580441 is a strong pseudoprime to every one of its bases.
+    """
     if n < 2:
         return False
+    if n >= 2**64:
+        raise ValueError("is_prime is exact only below 2**64, got %r" % (n,))
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % p == 0:
             return n == p

@@ -22,17 +22,26 @@ binds to ``arith`` and a sweep to its tables.  Every Phi_k the polynomial
 checks take is a read of the memoised ``cyclo._cyclotomic_cached``, so each
 read of Phi_k gives the same polynomial.
 
-The totient and Ramanujan sweeps first check their identities a whole row at
-a time, comparing both sides over the row with ``map``, ``operator`` and
-``itertools.compress`` pipelines that read the same tables and lookups as
-the core.  The totient sweep checks the divisor sum of phi once per n, then
-rows of pairs (n, m) over m for n <= isqrt(max_n) and columns over n for
-the rest; the Ramanujan sweep checks one row over q per coprime pair (n, m).
-When every row agrees, the sweep only counts its checks.  When a row
-disagrees, the Ramanujan sweep runs the core at each point of that row,
-and the totient sweep, whose columns mix values of n, runs the core at
-every pair, so the failures, their order and their witnesses are those of
-the pairwise checks.
+The Ramanujan sweep first checks its identities a whole row of q at a time,
+comparing both sides over the row with ``map``, ``operator`` and
+``itertools`` pipelines that read the same tables and lookups as the core.
+When every row agrees, it only counts its checks.  When a row disagrees, it
+runs the core at each point of that row, so the failures, their order and
+their witnesses are those of the pairwise checks.
+
+The totient and polynomial sweeps decide most of their checks from premises,
+and both start from one: the divisor lists they read are the true ones.  A
+list that increases strictly from an entry of at least 1 and holds only
+divisors of k has at most d(k) entries, and the sum of d(k) over k <= max_n
+is the sum of max_n // d over d <= max_n, so the lengths reach that sum only
+if every list holds every divisor of its k.  With the true lists, the
+divisor sum of phi at every n fixes phi by induction from phi(1) = 1, as
+phi(n) = n - (the sum of phi(d) over d | n, d < n): the phi read is Euler's,
+and the scaled divisor sum and the product rule hold at every coprime pair.
+So the totient sweep checks these two premises, and if they hold it counts
+three checks at each coprime pair, of which k = n*m has 2**omega(k).
+Otherwise it runs the core at every pair, so the failures, their order and
+their witnesses are those of the pairwise checks.
 
 For a non-coprime pair the power-substitution check is decided by degree
 first: Phi_n(X**m) has degree m*phi(n), and the product of Phi_dn over d | m
@@ -61,27 +70,26 @@ identity at n compares the product of Phi_d over d | n with X**n - 1, and
 P(1, n) compares the same product with Phi_1(X**n); so where X**n - 1 ==
 Phi_1(X**n), the fundamental identity at n is P(1, n), which follows as
 above.  The argument needs the divisor lists and the Mobius values the
-checks read to be the true ones, so the sweep first checks them: each
-divisor list against [1, p, ..., p**a] at a prime power and against the
-sorted products over the split k = p**a * rest elsewhere, p the least
-prime of k, and the sum of mu(d) over d | j against [j = 1] for every j,
-which fixes mu.  It then checks X**n - 1 == Phi_1(X**n) at every n, and
-computes the power substitution at every coprime (n, m) with m = 1 or a
-prime power and every non-coprime certificate.  If the premises hold and
-each of these passes, it counts the other checks, the fundamental
-identities among them, as passes.  Otherwise it runs every check at every
-pair, so the failures, their order and their witnesses are those of the
-pairwise checks.  Each check builds both of its sides as polynomials and
-compares them; products and substitutions come out as canonical lists, so
-equal polynomials compare equal as lists.
+checks read to be the true ones, so the sweep first checks them: the
+divisor lists as above, and the sum of mu(d) over d | j against [j = 1] for
+every j, which with the true lists fixes mu.  It then checks X**n - 1 ==
+Phi_1(X**n) at every n, and computes the power substitution at every
+coprime (n, m) with m = 1 or a prime power and every non-coprime
+certificate.  If the premises hold and each of these passes, it counts the
+other checks, the fundamental identities among them, as passes.
+Otherwise it runs every check at every pair, so the failures, their order
+and their witnesses are those of the pairwise checks.  Each check builds
+both of its sides as polynomials and compares them; products and
+substitutions come out as canonical lists, so equal polynomials compare
+equal as lists.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, cycle, islice, repeat
-from math import gcd, isqrt
-from operator import add, eq, floordiv, mul
+from itertools import chain, cycle, islice, repeat
+from math import gcd
+from operator import add, eq, floordiv, lt, mul
 
 from . import arith, cyclo, intpoly
 
@@ -416,6 +424,25 @@ def _divisor_table(max_n: int):
     return table.__getitem__
 
 
+def _divisor_lists_are_true(max_n: int, divisors) -> bool:
+    """True if ``divisors(k)`` is the divisors of k in increasing order for
+    every k <= max_n.
+
+    A list that increases strictly from an entry of at least 1 and holds only
+    divisors of k has at most d(k) entries.  The sum of d(k) over k <= max_n
+    is the sum of max_n // d over d <= max_n, so the lengths reach that sum
+    only if every list holds every divisor.
+    """
+    total = 0
+    for k in range(1, max_n + 1):
+        ds = divisors(k)
+        # 0 < ds[0] < ds[1] < ..., and k % d == 0 for each entry d
+        if not all(map(lt, chain((0,), ds), ds)) or any(map(k.__mod__, ds)):
+            return False
+        total += len(ds)
+    return total == sum(max_n // d for d in range(1, max_n + 1))
+
+
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
     n*m <= max_n.  If the checks at m = 1 and at the prime powers m pass,
@@ -441,25 +468,22 @@ def _polynomial_checks_if_all_pass(max_n: int, divisors):
     """The number of checks of :func:`_polynomial_checks` at the pairs
     n*m <= max_n if each of them passes, else None.
 
-    Checks the premises of the deduction in the module docstring on the
-    divisor lists ``divisors`` hands out and on ``arith.mobius``, then, at
-    every n, the premise X**n - 1 == Phi_1(X**n) and :func:`_substitution`
-    at every non-coprime pair and every coprime pair with m = 1 or a prime
-    power.  The power substitution at the other coprime pairs, every dual
-    inversion and every fundamental identity follow from those, and no
-    fundamental product is computed.  Three checks are counted at each
-    coprime pair and two at each other pair, as the core makes.
+    Checks the premises of the deduction in the module docstring, the
+    divisor lists ``divisors`` hands out by :func:`_divisor_lists_are_true`
+    and the values of ``arith.mobius``, then, at every n, the premise
+    X**n - 1 == Phi_1(X**n) and :func:`_substitution` at every non-coprime
+    pair and every coprime pair with m = 1 or a prime power.  The power
+    substitution at the other coprime pairs, every dual inversion and every
+    fundamental identity follow from those, and no fundamental product is
+    computed.  Three checks are counted at each coprime pair and two at
+    each other pair, as the core makes.
     """
-    # By induction on k, each list is the divisors of k in increasing order,
-    # and then the sums fix mu(k) = -(the sum of mu(d) over d | k, d < k).
+    # With the true divisor lists, the sums fix mu(k) = -(the sum of mu(d)
+    # over d | k, d < k) by induction on k.
+    if not _divisor_lists_are_true(max_n, divisors):
+        return None
     for k in range(1, max_n + 1):
-        factors = arith._factorize(k)
-        p, a = factors[0] if factors else (1, 0)
-        if len(factors) < 2:
-            expected = [p**i for i in range(a + 1)]
-        else:
-            expected = sorted(x * y for x in divisors(p**a) for y in divisors(k // p**a))
-        if divisors(k).tolist() != expected or sum(map(arith.mobius, divisors(k))) != (k == 1):
+        if sum(map(arith.mobius, divisors(k))) != (k == 1):
             return None
     checks = 0
     phi_1 = cyclo._cyclotomic_cached(1)
@@ -480,87 +504,32 @@ def _polynomial_checks_if_all_pass(max_n: int, divisors):
 
 def sweep_totient(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_totient_identities` over coprime pairs with
-    n*m <= max_n, a row of pairs at a time, and pair by pair only if a row
-    disagrees."""
+    n*m <= max_n.  If the divisor lists read are the true ones and the
+    divisor sum of phi holds at every n, phi is Euler's totient and the
+    others hold, so they are only counted; otherwise every check runs."""
     result = SweepResult("totient", 0, [])
     # phi before the divisor table: with the arith caches filled first, the
-    # CLI's largest sweep (200000) peaks at 130 MB RSS, against 140 MB with
+    # CLI's largest sweep (200000) peaks at 125 MB RSS, against 139 MB with
     # the table's arrays allocated first (Python 3.11 on Linux).
-    phi_list = [0, *map(arith.totient, range(1, max_n + 1))]
+    ns = range(1, max_n + 1)
+    phi_list = [0, *map(arith.totient, ns)]
     phi = phi_list.__getitem__
     divisors = _divisor_table(max_n)
-    pairs = _totient_pairs_if_all_agree(max_n, phi_list, divisors)
-    if pairs is not None:
-        result.checks = 3 * pairs  # three identities at each coprime pair
+    # phi(n) = n - (the sum of phi(d) over d | n, d < n) fixes phi by
+    # induction from phi(1) = 1, so the scaled sums and the product rule hold
+    # at every coprime pair; k = n*m has 2**omega(k) coprime splits.
+    if _divisor_lists_are_true(max_n, divisors) and all(
+        map(eq, map(sum, map(map, repeat(phi), map(divisors, ns))), ns)
+    ):
+        result.checks = 3 * sum(1 << len(arith._factorize(k)) for k in ns)
         return result
-    for n in range(1, max_n + 1):
+    for n in ns:
         divisor_sum = sum(map(phi, divisors(n)))
         for m in range(1, max_n // n + 1):
             if gcd(n, m) == 1:
                 outcomes = _totient_checks(n, m, divisor_sum, divisors(m), phi)
                 _collect(result, (("n", n), ("m", m)), outcomes)
     return result
-
-
-def _coprime_mask(k: int, lo: int, hi: int) -> bytearray:
-    # mask[i] is 1 when lo + i is coprime to k, for lo <= lo + i <= hi: each
-    # prime of k zeroes its multiples, as in arith._cosine_sum.
-    mask = bytearray([1]) * (hi - lo + 1)
-    for p, _ in arith._factorize(k):
-        start = -lo % p
-        mask[start::p] = bytes(len(range(start, len(mask), p)))
-    return mask
-
-
-def _totient_pairs_if_all_agree(max_n: int, phi: list, divisors):
-    """The number of coprime pairs with n*m <= max_n if each identity of
-    :func:`_totient_checks` holds at every one of them, else None.
-
-    Reads phi(k) from the list ``phi`` and divisor lists through
-    ``divisors``, the values the core reads, a whole row of pairs at a time.
-    With s = isqrt(max_n), the rows n <= s run over m and the columns
-    m <= max_n // (s + 1) over n in (s, max_n // m], so every pair lies in
-    exactly one of them, and each holds about sqrt(max_n) pairs or more.
-    The product rule phi(mn) == phi(m)*phi(n) at a column pair (n, m) is
-    the same comparison of the same three values as at (m, n), a row pair,
-    so only the rows check it.  The scaled sums of the columns are checked:
-    combined corruptions of phi and of the divisor lists can fail a column
-    pair alone.  A single one cannot, which is why corrupting one value
-    never showed the columns' use: a wrong phi(k) fails the divisor sum at
-    k, and a wrong divisor list of m, entries in [1, m], that keeps the
-    divisor sum at m fails a column pair (n, m) only through a new entry d
-    sharing a prime p with n, p <= d <= m <= s, and then fails the row pair
-    (p, m) too.
-    """
-    ns = range(1, max_n + 1)
-    if not all(map(eq, map(sum, map(map, repeat(phi.__getitem__), map(divisors, ns))), ns)):
-        return None
-    s = isqrt(max_n)
-    pairs = 0
-    for n in range(1, s + 1):
-        top = max_n // n
-        coprime = _coprime_mask(n, 1, top)
-        ms = range(1, top + 1)
-        row = phi[::n]  # row[d] = phi(d*n) for d <= top
-        scaled = map(sum, map(map, repeat(row.__getitem__), map(divisors, compress(ms, coprime))))
-        if not all(map(eq, scaled, map(mul, compress(ms, coprime), repeat(phi[n])))):
-            return None
-        phi_m_times_phi_n = map(mul, islice(phi, 1, None), repeat(phi[n]))
-        if not all(compress(map(eq, islice(row, 1, None), phi_m_times_phi_n), coprime)):
-            return None
-        pairs += coprime.count(1)
-    lo = s + 1
-    for m in range(1, max_n // lo + 1):
-        hi = max_n // m
-        coprime = _coprime_mask(m, lo, hi)
-        phi_n = phi[lo : hi + 1]
-        scaled = repeat(0, len(phi_n))
-        for d in divisors(m):
-            scaled = map(add, scaled, phi[d * lo : d * hi + 1 : d])
-        if not all(compress(map(eq, scaled, map(mul, phi_n, repeat(m))), coprime)):
-            return None
-        pairs += coprime.count(1)
-    return pairs
 
 
 def sweep_ramanujan(max_n: int, max_q: int) -> SweepResult:

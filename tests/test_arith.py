@@ -333,3 +333,13 @@ class TestPrimality:
         assert arith.is_prime(2**61 - 1)
         assert not arith.is_prime(2**62 - 1)
         assert not arith.is_prime(3825123056546413051)  # strong pseudoprime to small bases
+
+    def test_rejects_input_above_the_proven_witness_bound(self):
+        # the largest prime below 2**64 is decided; a strong pseudoprime to
+        # every witness base (2 .. 37) above the bound is refused, not passed
+        assert arith.is_prime(2**64 - 59)
+        assert not arith.is_prime(2**64 - 1)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            arith.is_prime(2**64)
+        with pytest.raises(ValueError, match="below 2\\*\\*64"):
+            arith.is_prime(399165290221 * 798330580441)

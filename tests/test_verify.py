@@ -411,17 +411,31 @@ class TestSweeps:
     def test_totient_sweep_small(self):
         assert verify.sweep_totient(200).passed
 
-    # Where a corruption lands in sweep_totient(60), whose rows are n <= 7 and
-    # whose columns are m <= 7 with n in (7, 60 // m]: phi(12) + 1 fails the
+    @staticmethod
+    def _totient_sweep_failures_equal_the_pairwise_ones(max_n):
+        # sweep_totient(max_n) against the public check at every coprime
+        # pair: the same count and the same failures, witnesses included
+        pairwise = [
+            r
+            for n in range(1, max_n + 1)
+            for m in range(1, max_n // n + 1)
+            if gcd(n, m) == 1
+            for r in check_totient_identities(n, m)
+        ]
+        result = verify.sweep_totient(max_n)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        return result.failures
+
+    # Where a corruption lands in sweep_totient(60): phi(12) + 1 fails the
     # divisor sum at n = 12, 24, 36, 48 and 60; the divisors of 8 as
     # [1, 2, 3, 8] keep every divisor sum and fail the scaled sum only at
-    # the row pair (3, 8); the divisors of 3 as [2, 3] keep every divisor
-    # sum and fail the scaled sum at each even n, the column pairs
-    # (8, 3) ... (20, 3) among them.
+    # (3, 8); the divisors of 3 as [2, 3] keep every divisor sum and fail the
+    # scaled sum at each even n, (8, 3) ... (20, 3) among them.
     _TOTIENT_CORRUPTIONS = {
         "divisor_sum": ("totient", lambda real, k: real(k) + (k == 12)),
-        "row_pair": ("divisors", lambda real, k: [1, 2, 3, 8] if k == 8 else real(k)),
-        "column_pair": ("divisors", lambda real, k: [2, 3] if k == 3 else real(k)),
+        "replaced_divisor": ("divisors", lambda real, k: [1, 2, 3, 8] if k == 8 else real(k)),
+        "dropped_divisor": ("divisors", lambda real, k: [2, 3] if k == 3 else real(k)),
     }
 
     @pytest.mark.parametrize("place", sorted(_TOTIENT_CORRUPTIONS))
@@ -429,20 +443,11 @@ class TestSweeps:
         name, corrupted = self._TOTIENT_CORRUPTIONS[place]
         real = getattr(arith, name)
         monkeypatch.setattr(arith, name, lambda k: corrupted(real, k))
-        pairwise = [
-            r
-            for n in range(1, 61)
-            for m in range(1, 60 // n + 1)
-            if gcd(n, m) == 1
-            for r in check_totient_identities(n, m)
-        ]
-        result = verify.sweep_totient(60)
-        assert result.checks == len(pairwise)
-        assert result.failures == [r for r in pairwise if not r.passed]
-        failed = {(f.identity_name, f.params) for f in result.failures}
+        failures = self._totient_sweep_failures_equal_the_pairwise_ones(60)
+        failed = {(f.identity_name, f.params) for f in failures}
         if place == "divisor_sum":
             assert ("totient_divisor_sum", (("n", 12), ("m", 1))) in failed
-        elif place == "row_pair":
+        elif place == "replaced_divisor":
             assert failed == {("totient_scaled_divisor_sum", (("n", 3), ("m", 8)))}
         else:
             assert ("totient_scaled_divisor_sum", (("n", 8), ("m", 3))) in failed
@@ -456,27 +461,33 @@ class TestSweeps:
         lists = {2: [1, 1], 3: [1, 1, 1], 6: [2, 3, 6]}
         monkeypatch.setattr(arith, "totient", lambda k: 3 if k == 6 else real_phi(k))
         monkeypatch.setattr(arith, "divisors", lambda k: lists.get(k) or real_divisors(k))
-        pairwise = [
-            r
-            for n in range(1, 7)
-            for m in range(1, 6 // n + 1)
-            if gcd(n, m) == 1
-            for r in check_totient_identities(n, m)
-        ]
-        result = verify.sweep_totient(6)
-        assert result.checks == len(pairwise)
-        assert result.failures == [r for r in pairwise if not r.passed]
-        assert [(f.identity_name, f.params) for f in result.failures] == [
+        failures = self._totient_sweep_failures_equal_the_pairwise_ones(6)
+        assert [(f.identity_name, f.params) for f in failures] == [
             ("totient_multiplicative", (("n", 2), ("m", 3))),
             ("totient_multiplicative", (("n", 3), ("m", 2))),
         ]
 
-    def test_totient_sweep_needs_its_column_pass(self, monkeypatch):
+    def test_totient_sweep_checks_that_each_divisor_list_is_complete(self, monkeypatch):
+        # the divisors of 6 read as [1, 2, 6], with phi(6) = 4: the list
+        # increases and holds only divisors of 6, and every divisor sum up to
+        # 6 holds, but the scaled sum and the product rule fail at (2, 3) and
+        # (3, 2); only the total of the list lengths shows the missing 3
+        real_phi, real_divisors = arith.totient, arith.divisors
+        monkeypatch.setattr(arith, "totient", lambda k: 4 if k == 6 else real_phi(k))
+        monkeypatch.setattr(arith, "divisors", lambda k: [1, 2, 6] if k == 6 else real_divisors(k))
+        failures = self._totient_sweep_failures_equal_the_pairwise_ones(6)
+        assert [(f.identity_name, f.params) for f in failures] == [
+            ("totient_scaled_divisor_sum", (("n", 2), ("m", 3))),
+            ("totient_multiplicative", (("n", 2), ("m", 3))),
+            ("totient_scaled_divisor_sum", (("n", 3), ("m", 2))),
+            ("totient_multiplicative", (("n", 3), ("m", 2))),
+        ]
+
+    def test_totient_sweep_reports_a_lone_scaled_sum_failure(self, monkeypatch):
         # phi(9), phi(18) and phi(36) at two thirds of their values, with the
         # divisor lists of 4, 9, 18, 27 and 36 rewritten so that every
-        # divisor sum and every row of sweep_totient(40) (n <= 6) still
-        # holds: only the scaled sum at the column pair (9, 4) fails, so only
-        # the column pass can report it
+        # divisor sum up to 40 still holds: only the scaled sum at (9, 4)
+        # fails
         real_phi, real_divisors = arith.totient, arith.divisors
         phis = {9: 4, 18: 4, 36: 8}
         lists = {4: [1, 2, 3], 9: [1, 3, 9, 3]}
@@ -485,17 +496,8 @@ class TestSweeps:
         monkeypatch.setattr(
             arith, "divisors", lambda k: lists.get(k) or real_divisors(k) + extra.get(k, [])
         )
-        pairwise = [
-            r
-            for n in range(1, 41)
-            for m in range(1, 40 // n + 1)
-            if gcd(n, m) == 1
-            for r in check_totient_identities(n, m)
-        ]
-        result = verify.sweep_totient(40)
-        assert result.checks == len(pairwise)
-        assert result.failures == [r for r in pairwise if not r.passed]
-        assert [(f.identity_name, f.params) for f in result.failures] == [
+        failures = self._totient_sweep_failures_equal_the_pairwise_ones(40)
+        assert [(f.identity_name, f.params) for f in failures] == [
             ("totient_scaled_divisor_sum", (("n", 9), ("m", 4))),
         ]
 
@@ -692,6 +694,29 @@ def _corrupted_divisors(real, k, drop, value):
     return divs[:drop] + [value] + divs[drop + 1 :]
 
 
+def _divisor_edit(draw, k):
+    """(drop, value) for :func:`_corrupted_divisors` at k."""
+    drop = draw(st.one_of(st.none(), st.integers(0, len(arith.divisors(k)) - 1)))
+    value = draw(st.integers(1, k) if drop is None else st.one_of(st.none(), st.integers(1, k)))
+    return drop, value
+
+
+def test_divisor_premise_refuses_every_single_edit():
+    # every drop, replacement by another value in [1, k], or append of a
+    # value in [1, k] to the divisors of one k <= 40 is refused, and the
+    # true table is accepted
+    table = verify._divisor_table(40)
+    assert verify._divisor_lists_are_true(40, table)
+    for k in range(1, 41):
+        size = len(arith.divisors(k))
+        edits = [(i, None) for i in range(size)] + [(None, v) for v in range(1, k + 1)]
+        edits += [(i, v) for i in range(size) for v in range(1, k + 1) if v != table(k)[i]]
+        for drop, value in edits:
+            wrong = _corrupted_divisors(arith.divisors, k, drop, value)
+            lookup = lambda j: wrong if j == k else table(j)
+            assert not verify._divisor_lists_are_true(40, lookup), (k, wrong)
+
+
 @st.composite
 def _one_corruption(draw, max_n, max_q=None):
     """An (arith name, replacement factory) pair that corrupts one phi(k),
@@ -703,8 +728,7 @@ def _one_corruption(draw, max_n, max_q=None):
         delta = draw(st.sampled_from([-2, -1, 1, 2]))
         return kind, lambda real: lambda n: real(n) + delta * (n == k)
     if kind == "divisors":
-        drop = draw(st.one_of(st.none(), st.integers(0, len(arith.divisors(k)) - 1)))
-        value = draw(st.integers(1, k) if drop is None else st.one_of(st.none(), st.integers(1, k)))
+        drop, value = _divisor_edit(draw, k)
 
         def divisors_factory(real):
             return lambda n: _corrupted_divisors(real, n, drop, value) if n == k else real(n)
@@ -871,12 +895,16 @@ def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corrup
 def _corrupted_read(draw, max_k):
     """(name, k, value): ``cyclo._cyclotomic_cached(k)`` with one coefficient
     below the leading one changed, ``cyclo._x_pow_minus_1(k)`` with one
-    coefficient changed, or a wrong ``arith.mobius(k)``."""
-    name = draw(st.sampled_from(["_cyclotomic_cached", "_x_pow_minus_1", "mobius"]))
+    coefficient changed, a wrong ``arith.mobius(k)``, or ``arith.divisors(k)``
+    with one entry dropped, replaced or appended."""
+    names = ["_cyclotomic_cached", "_x_pow_minus_1", "mobius", "divisors"]
+    name = draw(st.sampled_from(names))
     k = draw(st.integers(1, max_k))
     delta = draw(st.sampled_from([-2, -1, 1, 2]))
     if name == "mobius":
         return name, k, draw(st.sampled_from([v for v in (-1, 0, 1) if v != arith.mobius(k)]))
+    if name == "divisors":
+        return name, k, _corrupted_divisors(arith.divisors, k, *_divisor_edit(draw, k))
     if name == "_x_pow_minus_1":
         coeffs = cyclo._x_pow_minus_1(k)
         coeffs[draw(st.integers(0, k))] += delta
@@ -889,15 +917,15 @@ def _corrupted_read(draw, max_k):
 @settings(max_examples=50, deadline=None)
 @given(_corrupted_read(30))
 def test_polynomial_sweep_equals_the_pairwise_checks_under_a_corrupted_read(corruption):
-    # One value the polynomial checks read is wrong: a Phi_k, an X**k - 1 or
-    # a mu(k), k <= 30.  The sweep reports the count and the failures of the
-    # public check at every pair, witnesses included, whether it deduces or
-    # falls back; a wrong X**k - 1 fails only fundamental checks, which a
-    # deducing sweep never computes.
-    for k in range(1, 31):  # the Phi cache reads X**d - 1 and mu itself
+    # One value the polynomial checks read is wrong: a Phi_k, an X**k - 1, a
+    # mu(k) or the divisors of k, k <= 30.  The sweep reports the count and
+    # the failures of the public check at every pair, witnesses included,
+    # whether it deduces or falls back; a wrong X**k - 1 fails only
+    # fundamental checks, which a deducing sweep never computes.
+    for k in range(1, 31):  # the Phi cache reads X**d - 1, mu and divisors itself
         cyclo.cyclotomic_poly(k)
     name, k, value = corruption
-    module = arith if name == "mobius" else cyclo
+    module = arith if name in ("mobius", "divisors") else cyclo
     real = getattr(module, name)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, name, lambda j: value if j == k else real(j))
