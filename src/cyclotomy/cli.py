@@ -43,8 +43,8 @@ MAX_TABLE_N = 5_000
 #: sum(n * T(N // n) for n <= N) * (max_q + 1) terms, T(k) = k*(k + 1)/2.
 #: The oracle evaluates phi(n*m / gcd(n*m, q)) distinct cosines per point,
 #: but the terms bound counts the phi(n*m) terms they stand for.  The largest
-#: accepted sweeps take a few seconds: (2000, 50) 8 to 11 s, (1, 999999) 4 to
-#: 7 s and (14001, 0) 1.5 to 2 s (Python 3.11, 2 vCPUs).
+#: accepted sweeps take a few seconds: (2000, 50) 6.2 to 6.7 s, (1, 999999)
+#: 3.1 to 3.4 s and (14001, 0) 0.34 to 0.55 s (Python 3.11, 2 vCPUs).
 MAX_RAMANUJAN_POINTS = 1_000_000
 MAX_RAMANUJAN_TERMS = 10**9
 

@@ -22,17 +22,10 @@ binds to ``arith`` and a sweep to its tables.  Every Phi_k the polynomial
 checks take is a read of the memoised ``cyclo._cyclotomic_cached``, so each
 read of Phi_k gives the same polynomial.
 
-The Ramanujan sweep first checks its identities a whole row of q at a time,
-comparing both sides over the row with ``map``, ``operator`` and
-``itertools`` pipelines that read the same tables and lookups as the core.
-When every row agrees, it only counts its checks.  When a row disagrees, it
-runs the core at each point of that row, so the failures, their order and
-their witnesses are those of the pairwise checks.
-
-The totient and polynomial sweeps decide most of their checks from premises,
-and both start from one: the divisor lists they read are the true ones.  A
-list that increases strictly from an entry of at least 1 and holds only
-divisors of k has at most d(k) entries, and the sum of d(k) over k <= max_n
+Every sweep but the coefficient one decides most of its checks from
+premises, and each starts from one: the divisor lists it reads are the true
+ones.  A list that increases strictly from an entry of at least 1 and holds
+only divisors of k has at most d(k) entries, and the sum of d(k) over k <= max_n
 is the sum of max_n // d over d <= max_n, so the lengths reach that sum only
 if every list holds every divisor of its k.  With the true lists, the
 divisor sum of phi at every n fixes phi by induction from phi(1) = 1, as
@@ -42,6 +35,21 @@ So the totient sweep checks these two premises, and if they hold it counts
 three checks at each coprime pair, of which k = n*m has 2**omega(k).
 Otherwise it runs the core at every pair, so the failures, their order and
 their witnesses are those of the pairwise checks.
+
+The Ramanujan sweep also checks that the Mobius values it reads are the true
+ones, as the polynomial sweep does below, and at every N <= max_n that the
+Kluyver, Hoelder and definition rows of its table are equal, that c_N(0) is
+the totient read, and that the sum of c_d(q) over d | N is N*[N | q] at
+every q <= max_q.  With the true lists that sum fixes the Kluyver table by
+induction from c_1 = 1, as c_N(q) = N*[N | q] - (the sum of c_d(q) over
+d | N, d < N), so the table holds the Ramanujan sums and the totient read is
+Euler's.  With the true mu each identity is then a theorem at every coprime
+(n, m, q): the divisor sum, since c_dn = c_d*c_n and gcd(n, q/m) =
+gcd(n, q); the inversion, Kluyver's formula for c_m with c_n(q/d) = c_n(q);
+and the degree reduction, the sum of phi(dn) over d | m being m*phi(n).  The
+method agreement at (n, m, q) reads only the rows at N = m*n, which the
+premise compares.  So if the premises hold the sweep counts four checks at
+each q for each coprime pair; otherwise it runs the core at every point.
 
 For a non-coprime pair the power-substitution check is decided by degree
 first: Phi_n(X**m) has degree m*phi(n), and the product of Phi_dn over d | m
@@ -87,9 +95,9 @@ equal as lists.
 from __future__ import annotations
 
 from array import array
-from itertools import chain, cycle, islice, repeat
+from itertools import chain, repeat
 from math import gcd
-from operator import add, eq, floordiv, lt, mul
+from operator import eq, lt
 
 from . import arith, cyclo, intpoly
 
@@ -443,6 +451,20 @@ def _divisor_lists_are_true(max_n: int, divisors) -> bool:
     return total == sum(max_n // d for d in range(1, max_n + 1))
 
 
+def _mobius_values_are_true(max_n: int, divisors) -> bool:
+    """True if the sum of ``arith.mobius(d)`` over the entries d of
+    ``divisors(k)`` is 1 at k = 1 and 0 at every other k <= max_n.  With the
+    true divisor lists the sums fix mu(k) = -(the sum of mu(d) over d | k,
+    d < k) by induction on k."""
+    return all(sum(map(arith.mobius, divisors(k))) == (k == 1) for k in range(1, max_n + 1))
+
+
+def _coprime_pairs(max_n: int) -> int:
+    """The number of coprime pairs (n, m) with n*m <= max_n: k = n*m has
+    2**omega(k) coprime splits."""
+    return sum(1 << len(arith._factorize(k)) for k in range(1, max_n + 1))
+
+
 def sweep_polynomial(max_n: int) -> SweepResult:
     """Run the checks of :func:`check_polynomial_identities` over every pair with
     n*m <= max_n.  If the checks at m = 1 and at the prime powers m pass,
@@ -478,13 +500,8 @@ def _polynomial_checks_if_all_pass(max_n: int, divisors):
     computed.  Three checks are counted at each coprime pair and two at
     each other pair, as the core makes.
     """
-    # With the true divisor lists, the sums fix mu(k) = -(the sum of mu(d)
-    # over d | k, d < k) by induction on k.
-    if not _divisor_lists_are_true(max_n, divisors):
+    if not (_divisor_lists_are_true(max_n, divisors) and _mobius_values_are_true(max_n, divisors)):
         return None
-    for k in range(1, max_n + 1):
-        if sum(map(arith.mobius, divisors(k))) != (k == 1):
-            return None
     checks = 0
     phi_1 = cyclo._cyclotomic_cached(1)
     for n in range(1, max_n + 1):
@@ -517,11 +534,11 @@ def sweep_totient(max_n: int) -> SweepResult:
     divisors = _divisor_table(max_n)
     # phi(n) = n - (the sum of phi(d) over d | n, d < n) fixes phi by
     # induction from phi(1) = 1, so the scaled sums and the product rule hold
-    # at every coprime pair; k = n*m has 2**omega(k) coprime splits.
+    # at every coprime pair.
     if _divisor_lists_are_true(max_n, divisors) and all(
         map(eq, map(sum, map(map, repeat(phi), map(divisors, ns))), ns)
     ):
-        result.checks = 3 * sum(1 << len(arith._factorize(k)) for k in ns)
+        result.checks = 3 * _coprime_pairs(max_n)
         return result
     for n in ns:
         divisor_sum = sum(map(phi, divisors(n)))
@@ -534,9 +551,12 @@ def sweep_totient(max_n: int) -> SweepResult:
 
 def sweep_ramanujan(max_n: int, max_q: int) -> SweepResult:
     """Run the checks of :func:`check_ramanujan_identities` over coprime
-    n*m <= max_n and q <= max_q, evaluating each c_N(q) once per method and
-    checking the row of q at each pair at once, point by point only where
-    the row disagrees."""
+    n*m <= max_n and q <= max_q, evaluating each c_N(q) once per method.  If
+    the divisor lists and Mobius values read are the true ones and
+    :func:`_ramanujan_rows_are_true` holds, every check holds and is only
+    counted; otherwise every check runs.  Raises ValueError if max_q < 0."""
+    if max_q < 0:
+        raise ValueError("max_q must be >= 0, got %r" % (max_q,))
     # table[method][N][q] for 1 <= N <= max_n and 0 <= q <= max_q; the pair
     # (N, 1) reads every entry, so none is evaluated in vain.
     table = {
@@ -550,58 +570,40 @@ def sweep_ramanujan(max_n: int, max_q: int) -> SweepResult:
     # gcd(m, q) <= m <= max_n, with gcd(m, 0) = m
     divisors = _divisor_table(max_n)
     result = SweepResult("ramanujan", 0, [])
+    if (
+        _divisor_lists_are_true(max_n, divisors)
+        and _mobius_values_are_true(max_n, divisors)
+        and _ramanujan_rows_are_true(max_n, table, divisors)
+    ):
+        result.checks = 4 * (max_q + 1) * _coprime_pairs(max_n)  # four identities at each q
+        return result
     for n in range(1, max_n + 1):
         for m in range(1, max_n // n + 1):
-            if gcd(n, m) != 1:
-                continue
-            if _ramanujan_row_agrees(n, m, table, divisors):
-                result.checks += 4 * (max_q + 1)  # four identities at each q
-                continue
-            for q in range(max_q + 1):
-                params = (("n", n), ("m", m), ("q", q))
-                _collect(result, params, _ramanujan_checks(n, m, q, c, divisors))
+            if gcd(n, m) == 1:
+                for q in range(max_q + 1):
+                    params = (("n", n), ("m", m), ("q", q))
+                    _collect(result, params, _ramanujan_checks(n, m, q, c, divisors))
     return result
 
 
-def _ramanujan_row_agrees(n: int, m: int, table: dict, divisors) -> bool:
-    """True if each identity of :func:`_ramanujan_checks` holds at (n, m, q)
-    for every q the rows of ``table[method][N]`` hold.
+def _ramanujan_rows_are_true(max_n: int, table: dict, divisors) -> bool:
+    """True if, at every N <= max_n, the rows ``table[method][N]`` of the
+    three methods are equal, c_N(0) is ``arith.totient(N)``, and the sum of
+    c_d(q) over the entries d of ``divisors(N)`` is N where N divides q and
+    0 elsewhere.
 
-    Reads the values the core reads, through the same tables, ``divisors``,
-    ``arith.mobius`` and ``arith.totient``, one row of q at a time.
+    With the true divisor lists the last fixes c_N(q) = N*[N | q] - (the sum
+    of c_d(q) over d | N, d < N) by induction on N, so every row holds the
+    Ramanujan sums and the totient read is Euler's.
     """
     kluyver = table["kluyver"]
-    c_n, c_mn = kluyver[n], kluyver[m * n]
-    qs = range(len(c_n))
-    # the sum of c_dn(q) over d | m at each q; at q = 0 it is the degree
-    # reduction's sum of c_dn(0)
-    lhs = repeat(0, len(qs))
-    for d in divisors(m):
-        lhs = map(add, lhs, kluyver[d * n])
-    at_zero = next(lhs)
-    if at_zero != m * arith.totient(n):
-        return False
-    # a definition residual is an exception object, equal to no integer
-    if not all(map(eq, c_mn, table["hoelder"][m * n])) or not all(
-        map(eq, c_mn, table["definition"][m * n])
-    ):
-        return False
-    # m * c_n(q / m) where m divides q, else 0
-    lattice = cycle((m,) + (0,) * (min(m, len(qs)) - 1))
-    rhs = map(mul, map(c_n.__getitem__, map(floordiv, qs, repeat(m))), lattice)
-    if not all(map(eq, chain((at_zero,), lhs), rhs)):
-        return False
-    # gcd(m, q) = gcd(m, q % m): the q of one residue mod m read one divisor
-    # list.  A term with mu(m/d) = 0 is 0 whatever c_n(q // d) is.
-    for r in range(min(m, len(qs))):
-        on_r = range(r, len(qs), m)
-        inv = repeat(0, len(on_r))
-        for d in divisors(gcd(m, r)):
-            weight = d * arith.mobius(m // d)
-            if weight:
-                terms_d = map(c_n.__getitem__, map(d.__rfloordiv__, on_r))
-                inv = map(add, inv, map(weight.__mul__, terms_d))
-        if not all(map(eq, islice(c_mn, r, None, m), inv)):
+    for N in range(1, max_n + 1):
+        row = kluyver[N]
+        # a definition residual is an exception object, equal to no int
+        if row != table["hoelder"][N] or row != table["definition"][N] or row[0] != arith.totient(N):
+            return False
+        sums = map(sum, zip(*[kluyver[d] for d in divisors(N)]))
+        if any(s != (0 if q % N else N) for q, s in enumerate(sums)):
             return False
     return True
 

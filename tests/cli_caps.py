@@ -1,15 +1,16 @@
 """Run the command-line tool at its largest bounds and check each run.
 
-Eleven runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
+Twelve runs, each in a fresh process: ``verify`` of the totient, Ramanujan,
 polynomial and coefficient suites, and ``table``, each at the largest bound
 the CLI accepts, the Ramanujan suite also at its cosine-term bound with
-``--max-q 0``, ``compute`` by ``recursive`` and by ``newton_ramanujan`` at
-two large indices with many divisors, and ``ramanujan --method newton`` at
-the largest prime index the CLI accepts.  Every run must exit 0; a
+``--max-q 0`` and at ``--max-n 2000 --max-q 50``, whose premises read both
+many indices and wide rows of q, ``compute`` by ``recursive`` and by
+``newton_ramanujan`` at two large indices with many divisors, and
+``ramanujan --method newton`` at the largest prime index the CLI accepts.  Every run must exit 0; a
 ``verify`` run must print its exact check count with no failures, the
 ``ramanujan`` run its value, ``table`` must write 5000 rows whose bytes
 have the pinned sha256, and a ``compute`` run must print the pinned bytes
-of the default algorithm.  Five runs have a bound on the child's peak
+of the default algorithm.  Six runs have a bound on the child's peak
 RSS.  Prints the wall time and the peak RSS of every run and exits 1
 if any run fails.  Standard library only; run it with
 
@@ -48,6 +49,11 @@ RUNS = {
     "ramanujan_14001": (
         ["verify", "--suite", "ramanujan", "--max-n", "14001", "--max-q", "0"],
         "369068 checks, 0 failures",
+        64,
+    ),
+    "ramanujan_2000": (
+        ["verify", "--suite", "ramanujan", "--max-n", "2000", "--max-q", "50"],
+        "2205444 checks, 0 failures",
         64,
     ),
     "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", 100),

@@ -609,30 +609,57 @@ class TestSweeps:
             for n in (1, 3, 4, 12)
         ]
 
-    def test_ramanujan_sweep_equals_the_pairwise_checks_under_patched_divisors(
-        self, monkeypatch
-    ):
-        # the sweep's divisor table is read through arith.divisors, so a wrong
-        # divisor list of 6 reaches it as it reaches the public check
-        real = arith.divisors
-        monkeypatch.setattr(
-            arith, "divisors", lambda k: real(k)[:-1] if k == 6 else real(k)
-        )
-        pairwise = [
-            r
-            for n in range(1, 21)
-            for m in range(1, 20 // n + 1)
-            if gcd(n, m) == 1
-            for q in range(5)
-            for r in check_ramanujan_identities(n, m, q)
-        ]
-        result = verify.sweep_ramanujan(20, 4)
+    def test_ramanujan_sweep_checks_the_defining_divisor_sum(self, monkeypatch):
+        # c_12(5) + 1 by every method: the three rows at 12 still agree, and
+        # c_12(0) is still phi(12), but the sum of c_d(5) over d | 12 is 1
+        real = arith.ramanujan_sum
+
+        def shifted(n, q, method="kluyver"):
+            return real(n, q, method) + ((n, q) == (12, 5))
+
+        monkeypatch.setattr(arith, "ramanujan_sum", shifted)
+        pairwise = _pairwise_ramanujan_reports(30, 6)
+        result = verify.sweep_ramanujan(30, 6)
         assert result.checks == len(pairwise)
         assert result.failures == [r for r in pairwise if not r.passed]
         assert result.failures
 
+    def test_ramanujan_sweep_checks_the_totient_it_reads(self, monkeypatch):
+        # phi(1) read as 2 keeps Hoelder's c_1(q) = phi(1)/phi(1) = 1, so at
+        # max_n = 1 only c_1(0) = phi(1) refuses it; the degree reduction
+        # fails at (1, 1) at every q
+        real = arith.totient
+        monkeypatch.setattr(arith, "totient", lambda k: real(k) + (k == 1))
+        pairwise = _pairwise_ramanujan_reports(1, 3)
+        result = verify.sweep_ramanujan(1, 3)
+        assert result.checks == len(pairwise)
+        assert result.failures == [r for r in pairwise if not r.passed]
+        assert [(f.identity_name, f.params) for f in result.failures] == [
+            ("ramanujan_degree_reduction", (("n", 1), ("m", 1), ("q", q))) for q in range(4)
+        ]
+
+    def test_ramanujan_sweep_rejects_a_negative_max_q(self):
+        with pytest.raises(ValueError, match="max_q must be >= 0, got -1"):
+            verify.sweep_ramanujan(5, -1)
+
+    def test_ramanujan_sweep_equals_the_pairwise_checks_under_patched_divisors(
+        self, monkeypatch
+    ):
+        # the sweep's divisor table is read through arith.divisors, so a wrong
+        # divisor list of 6 reaches it as it reaches the public check; read as
+        # [1, 2, 6, 3] it keeps every sum over a divisor list, and only the
+        # divisor premise refuses it
+        real = arith.divisors
+        for wrong in ([1, 2, 3], [1, 2, 6, 3]):
+            monkeypatch.setattr(arith, "divisors", lambda k, w=wrong: w if k == 6 else real(k))
+            pairwise = _pairwise_ramanujan_reports(20, 4)
+            result = verify.sweep_ramanujan(20, 4)
+            assert result.checks == len(pairwise)
+            assert result.failures == [r for r in pairwise if not r.passed]
+            assert result.failures
+
     def test_passing_sweeps_never_call_a_check_core(self, monkeypatch):
-        # a sweep whose rows all agree only counts its checks
+        # a sweep whose premises all hold only counts its checks
         def forbidden(*_args):
             raise AssertionError("a passing sweep called a per-point core")
 
@@ -720,13 +747,16 @@ def test_divisor_premise_refuses_every_single_edit():
 @st.composite
 def _one_corruption(draw, max_n, max_q=None):
     """An (arith name, replacement factory) pair that corrupts one phi(k),
-    divisors(k) or, when ``max_q`` is given, c_N(q) by one method."""
-    kinds = ["totient", "divisors"] + ["ramanujan_sum"] * (max_q is not None)
+    divisors(k) or, when ``max_q`` is given, the sign of one mu(k) or c_N(q)
+    by one method or by all three at once."""
+    kinds = ["totient", "divisors"] + ["mobius", "ramanujan_sum"] * (max_q is not None)
     kind = draw(st.sampled_from(kinds))
     k = draw(st.integers(1, max_n))
     if kind == "totient":
         delta = draw(st.sampled_from([-2, -1, 1, 2]))
         return kind, lambda real: lambda n: real(n) + delta * (n == k)
+    if kind == "mobius":
+        return kind, lambda real: lambda n: -real(n) if n == k else real(n)
     if kind == "divisors":
         drop, value = _divisor_edit(draw, k)
 
@@ -735,12 +765,13 @@ def _one_corruption(draw, max_n, max_q=None):
 
         return kind, divisors_factory
     q = draw(st.integers(0, max_q))
-    method = draw(st.sampled_from(["kluyver", "hoelder", "definition"]))
+    one = [("kluyver",), ("hoelder",), ("definition",)]
+    methods = draw(st.sampled_from(one + [("kluyver", "hoelder", "definition")]))
     delta = draw(st.sampled_from([-1, 1, 3]))
 
     def ramanujan_factory(real):
         def corrupted(n, q_, method_="kluyver"):
-            return real(n, q_, method_) + delta * ((n, q_, method_) == (k, q, method))
+            return real(n, q_, method_) + delta * ((n, q_) == (k, q) and method_ in methods)
 
         return corrupted
 
@@ -768,6 +799,18 @@ def _sweep_matches_the_pairwise_checks(sweep, pairwise_reports):
             len(pairwise),
             [r for r in pairwise if not r.passed],
         )
+
+
+def _pairwise_ramanujan_reports(max_n, max_q):
+    # check_ramanujan_identities at every coprime n*m <= max_n and q <= max_q
+    return [
+        r
+        for n in range(1, max_n + 1)
+        for m in range(1, max_n // n + 1)
+        if gcd(n, m) == 1
+        for q in range(max_q + 1)
+        for r in check_ramanujan_identities(n, m, q)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
@@ -799,14 +842,7 @@ def test_ramanujan_sweep_equals_the_pairwise_checks_under_one_corruption(data):
         mp.setattr(arith, name, factory(getattr(arith, name)))
         _sweep_matches_the_pairwise_checks(
             lambda: verify.sweep_ramanujan(max_n, max_q),
-            lambda: [
-                r
-                for n in range(1, max_n + 1)
-                for m in range(1, max_n // n + 1)
-                if gcd(n, m) == 1
-                for q in range(max_q + 1)
-                for r in check_ramanujan_identities(n, m, q)
-            ],
+            lambda: _pairwise_ramanujan_reports(max_n, max_q),
         )
 
 
