@@ -225,8 +225,9 @@ def _cmd_table(args) -> int:
         for n in range(1, args.max_n + 1):
             if n > 1:
                 fh.write(",")
-            # Each Phi_n is read once here, so it comes from the algorithm
-            # the Phi cache memoises, and none goes into that cache.
+            # Each Phi_n is read once here, so it is computed by radical, as
+            # cyclotomic_poly computes it, and none goes into the Phi cache,
+            # which serves the products the identity reads many times.
             fh.write(_poly_record(cyclo.cyclotomic(n, "radical").poly, n=n))
         fh.write("]\n")
     print("wrote %d rows to %s" % (args.max_n, args.out), file=sys.stderr)

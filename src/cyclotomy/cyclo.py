@@ -162,7 +162,7 @@ def _dual_form(n: int) -> list:
     poly = [-1, 1]
     for p, _ in arith.factorize(r):
         poly = intpoly.poly_exact_div(intpoly.substitute_power(poly, p), poly)
-    return intpoly.substitute_power(poly, e)
+    return poly if e == 1 else intpoly.substitute_power(poly, e)
 
 
 def _newton_ramanujan(n: int) -> list:
@@ -267,9 +267,13 @@ def _cyclotomic_product(indices: list) -> list:
 
 
 def cyclotomic_poly(n: int) -> list:
-    """Coefficients of Phi_n (process-wide cache behind a pure interface)."""
+    """Coefficients of Phi_n, a new list computed by ``radical`` on each call.
+
+    It neither reads nor fills the process-wide Phi cache, which serves the
+    products of Phi_dn that the identity and its checks read many times.
+    """
     arith._check_index(n)
-    return list(_cyclotomic_cached(n))
+    return _radical(n)
 
 
 def cyclotomic_of_power(n: int, m: int) -> list:

@@ -19,8 +19,9 @@ check core reads shared values through what its caller passes in: the
 fundamental product's outcome at n, the divisors of m, and lookups
 ``phi(k)``, ``divisors(k)`` and ``c(N, q, method)`` that a public check
 binds to ``arith`` and a sweep to its tables.  Every Phi_k the polynomial
-checks take is a read of the memoised ``cyclo._cyclotomic_cached``, so each
-read of Phi_k gives the same polynomial.
+and coefficient checks take is a read of the memoised
+``cyclo._cyclotomic_cached``, so each read of Phi_k gives the same
+polynomial, and the series runs once per radical.
 
 Every sweep but the coefficient one decides most of its checks from
 premises, and each starts from one: the divisor lists it reads are the true
@@ -368,7 +369,7 @@ def check_coefficient_facts(n: int) -> list:
 
 
 def _coefficient_checks(n: int) -> list:
-    poly = cyclo.cyclotomic_poly(n)
+    poly = list(cyclo._cyclotomic_cached(n))
     minus_mu = -arith.mobius(n)
     values = (
         ("S_1", intpoly.power_sums(poly, 1)[1]),

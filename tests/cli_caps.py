@@ -10,7 +10,7 @@ many indices and wide rows of q, ``compute`` by ``recursive`` and by
 ``verify`` run must print its exact check count with no failures, the
 ``ramanujan`` run its value, ``table`` must write 5000 rows whose bytes
 have the pinned sha256, and a ``compute`` run must print the pinned bytes
-of the default algorithm.  Six runs have a bound on the child's peak
+of the default algorithm.  Seven runs have a bound on the child's peak
 RSS.  Prints the wall time and the peak RSS of every run and exits 1
 if any run fails.  Standard library only; run it with
 
@@ -57,7 +57,7 @@ RUNS = {
         64,
     ),
     "poly": (["verify", "--suite", "poly", "--max-n", "5000"], "116587 checks, 0 failures", 100),
-    "coeff": (["verify", "--suite", "coeff", "--max-n", "5000"], "19996 checks, 0 failures", None),
+    "coeff": (["verify", "--suite", "coeff", "--max-n", "5000"], "19996 checks, 0 failures", 100),
     "recursive_180180": (["compute", "--n", "180180", "--algorithm", "recursive"], None, None),
     "recursive_199290": (["compute", "--n", "199290", "--algorithm", "recursive"], None, None),
     "newton_180180": (["compute", "--n", "180180", "--algorithm", "newton_ramanujan"], None, None),

@@ -79,6 +79,18 @@ class TestCyclotomic:
         assert cyclo._mobius_product(199999) == [1] * 199999
         assert calls == []
 
+    @pytest.mark.parametrize("n", [1, 2, 30030, 199999])
+    def test_dual_form_lifts_only_a_non_squarefree_index(self, monkeypatch, n):
+        # at a squarefree n the radical is n itself, so there is nothing to
+        # lift: substituting X**1 would only copy the list
+        exponents = []
+        real = intpoly.substitute_power
+        monkeypatch.setattr(
+            intpoly, "substitute_power", lambda p, e: exponents.append(e) or real(p, e)
+        )
+        assert cyclotomic(n, "dual_form").poly == cyclotomic(n, "mobius_product").poly
+        assert 1 not in exponents
+
     @pytest.mark.parametrize("n", [21504, 28224, 27000, 30030, 23814, 28125, 180180])
     def test_recursive_at_mixed_indices(self, n):
         # 21504 = 2**10*3*7, 28224 = 2**6*3**2*7**2, 27000 = 2**3*3**3*5**3,
@@ -133,9 +145,9 @@ class TestCyclotomic:
             with pytest.raises(InternalIdentityError):
                 cyclotomic(r, "radical")
             with pytest.raises(InternalIdentityError):
-                cyclotomic_poly(r)
+                cyclo._cyclotomic_cached(r)
             monkeypatch.undo()
-            assert cyclotomic_poly(r) == expected, d  # no wrong entry was cached
+            assert list(cyclo._cyclotomic_cached(r)) == expected, d  # no wrong entry was cached
             cyclo._cyclotomic_cached.cache_clear()
 
     def test_newton_ramanujan_at_a_large_prime(self):
@@ -192,7 +204,7 @@ class TestInvariants:
         for name in ("_mul_packed", "_series_inverse", "_div_school"):
             monkeypatch.setattr(intpoly, name, general_path)
         for n in indices:
-            assert cyclotomic_poly(n) == expected[n], n
+            assert list(cyclo._cyclotomic_cached(n)) == expected[n], n
             assert cyclotomic(n, "radical").poly == expected[n], n
 
     def test_cache_runs_the_series_once_per_radical(self, monkeypatch):
@@ -207,13 +219,25 @@ class TestInvariants:
         monkeypatch.setattr(cyclo, "_squarefree_series", counting)
         cyclo._cyclotomic_cached.cache_clear()
         for n in range(1, 61):
-            assert cyclotomic_poly(n) == naive_cyclotomic(n), n
+            assert list(cyclo._cyclotomic_cached(n)) == naive_cyclotomic(n), n
         assert calls == [k for k in range(1, 61) if arith.mobius(k) != 0]
 
     def test_cache_returns_fresh_lists(self):
         poly = cyclotomic_poly(12)
         poly[0] = 999
         assert cyclotomic_poly(12) == [1, 0, -1, 0, 1]
+
+    def test_cyclotomic_poly_leaves_the_phi_cache_alone(self):
+        # a single read computes Phi_n by radical and stores nothing: at a
+        # prime, a squarefree and a non-squarefree index, none of them in
+        # the emptied cache, its counters stay where they were
+        cyclo._cyclotomic_cached.cache_clear()
+        before = cyclo._cyclotomic_cached.cache_info()
+        for n in (7919, 2 * 3 * 5 * 7 * 11, 2**3 * 3**2 * 7):
+            first, second = cyclotomic_poly(n), cyclotomic_poly(n)
+            assert first == second == cyclotomic(n, "mobius_product").poly, n
+            assert first is not second, n
+        assert cyclo._cyclotomic_cached.cache_info() == before
 
     def test_concurrent_use_is_deterministic(self):
         # everything is a pure function; hammer the shared caches from

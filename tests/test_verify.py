@@ -256,7 +256,7 @@ class TestSweeps:
         # The Phi cache builds Phi_6 from X**6 - 1 too, so it is filled for
         # every index the sweep reads before the corruption goes in.
         for k in range(1, 41):
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         x_pow_minus_1 = cyclo._x_pow_minus_1
 
         def corrupted(n):
@@ -274,7 +274,7 @@ class TestSweeps:
         # and the fundamental check at 2 fails with the witness of the
         # pairwise check, its sides compared as polynomials.
         for k in range(1, 9):
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
         monkeypatch.setattr(
             cyclo, "_cyclotomic_cached", lambda k: (-200, 1) if k == 1 else cached(k)
@@ -289,7 +289,7 @@ class TestSweeps:
 
     def test_polynomial_sweep_multiplies_only_the_checks_it_computes(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi multiplies or substitutes
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         products = self._count_calls(monkeypatch, cyclo, "_cyclotomic_product")
         assert verify.sweep_polynomial(60).passed
         # the power substitution's right side at each coprime pair (n, m)
@@ -316,7 +316,7 @@ class TestSweeps:
 
     def test_polynomial_sweep_reads_phi_only_through_the_cache(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi reads the cache itself
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         cached = self._count_calls(monkeypatch, cyclo, "_cyclotomic_cached")
         public = self._count_calls(monkeypatch, cyclo, "cyclotomic_poly")
         assert verify.sweep_polynomial(60).passed
@@ -325,14 +325,14 @@ class TestSweeps:
 
     def test_polynomial_sweep_builds_each_x_pow_minus_1_once_per_n(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi builds X**d - 1 either
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         calls = self._count_calls(monkeypatch, cyclo, "_x_pow_minus_1")
         assert verify.sweep_polynomial(60).passed
         assert len(calls) == 60
 
     def test_polynomial_sweep_substitutes_only_at_m_one_or_a_prime_power(self, monkeypatch):
         for k in range(1, 61):  # so no cold Phi substitutes X**e either
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         index = {id(cyclo._cyclotomic_cached(k)): k for k in range(1, 61)}
         calls = self._count_calls(monkeypatch, intpoly, "substitute_power")
         assert verify.sweep_polynomial(60).passed
@@ -370,7 +370,7 @@ class TestSweeps:
         # Phi_d it reads: every fundamental product holds, and only (1, 9),
         # a prime power m, fails, which no check at m = 1 implies
         for k in range(1, 13):  # the Phi cache builds Phi_9 from X**9 - 1
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         cached, x_pow_minus_1 = cyclo._cyclotomic_cached, cyclo._x_pow_minus_1
         phi_9 = tuple(intpoly.poly_mul(cached(9), [2, 1]))
         x_9 = intpoly.poly_mul(x_pow_minus_1(9), [2, 1])
@@ -386,7 +386,7 @@ class TestSweeps:
         # mu(6) read as -1 fails only dual inversions, at (1, 6) and
         # (1, 12), where the checks at m = 1 and the prime powers all hold
         for k in range(1, 13):  # the Phi cache reads mu too
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         real = arith.mobius
         monkeypatch.setattr(arith, "mobius", lambda k: -1 if k == 6 else real(k))
         failures = self._sweep_failures_equal_the_pairwise_ones(12)
@@ -400,7 +400,7 @@ class TestSweeps:
         # but the dual inversion at (1, 6) skips the last entry, 3, as if it
         # were m, and lifts Phi_1 by 6 twice
         for k in range(1, 13):  # the Phi cache reads divisor lists too
-            cyclo.cyclotomic_poly(k)
+            cyclo._cyclotomic_cached(k)
         real = arith.divisors
         monkeypatch.setattr(arith, "divisors", lambda k: [1, 2, 6, 3] if k == 6 else real(k))
         failures = self._sweep_failures_equal_the_pairwise_ones(12)
@@ -918,7 +918,7 @@ def test_polynomial_sweep_equals_the_pairwise_polynomial_checks_under_one_corrup
     # checks goes through.  The sweep reports the failures of the pairwise
     # polynomial comparison, witnesses included.
     for k in range(1, 41):  # the real cache holds every Phi the sweep reads
-        cyclo.cyclotomic_poly(k)
+        cyclo._cyclotomic_cached(k)
     k, coeffs = corruption
     real = cyclo._cyclotomic_cached
     with pytest.MonkeyPatch.context() as mp:
@@ -959,7 +959,7 @@ def test_polynomial_sweep_equals_the_pairwise_checks_under_a_corrupted_read(corr
     # whether it deduces or falls back; a wrong X**k - 1 fails only
     # fundamental checks, which a deducing sweep never computes.
     for k in range(1, 31):  # the Phi cache reads X**d - 1, mu and divisors itself
-        cyclo.cyclotomic_poly(k)
+        cyclo._cyclotomic_cached(k)
     name, k, value = corruption
     module = arith if name in ("mobius", "divisors") else cyclo
     real = getattr(module, name)
