@@ -36,9 +36,9 @@ agreement exhaustively.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from math import gcd
-from operator import add, sub
+from operator import sub
 
 from . import arith, intpoly
 
@@ -130,12 +130,8 @@ def _squarefree_series(r: int) -> list:
             break
         if arith.mobius(r // d) == 1:
             a[d:] = map(sub, a[d:], a[: size - d])
-        elif d <= (size + d - 1) // d:  # d classes or about size/d blocks
-            for j in range(d):
-                a[j::d] = accumulate(a[j::d])
         else:
-            for lo in range(d, size, d):
-                a[lo : lo + d] = map(add, a[lo : lo + d], a[lo - d : lo])
+            intpoly._stride_sums(a, d)
     cut = phi + 1 - size  # the mirror supplies the coefficients below cut
     overlap = a[cut:]  # the terms the series and their mirror both give
     if r > 1 and overlap != overlap[::-1]:
@@ -185,7 +181,46 @@ _DISPATCH = {
 ALGORITHMS = tuple(_DISPATCH)
 
 
-class CyclotomicResult:
+class _Record:
+    """Fields named by ``__slots__``: records compare equal by their fields,
+    and only to a record of the same class; they render and pickle as their
+    class called with the fields in order."""
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._astuple())))
+        return "%s(%s)" % (self.__class__.__name__, fields)
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
+
+
+class _FrozenRecord(_Record):
+    """A :class:`_Record` whose fields cannot be assigned or deleted."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+
+class CyclotomicResult(_FrozenRecord):
     """A computed cyclotomic polynomial together with its provenance.
 
     Invariants are checked on construction: the polynomial is monic of
@@ -209,29 +244,7 @@ class CyclotomicResult:
             raise InternalIdentityError(
                 "Phi_%d(0) is %d, expected %d" % (n, poly[0], expected)
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "algorithm", algorithm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def _astuple(self) -> tuple:
-        return (self.n, self.poly, self.algorithm)
-
-    def __reduce__(self):
-        return CyclotomicResult, self._astuple()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "CyclotomicResult(n=%r, poly=%r, algorithm=%r)" % self._astuple()
+        super().__init__(n, poly, algorithm)
 
 
 def cyclotomic(n: int, algorithm: str = "recursive") -> CyclotomicResult:

@@ -387,15 +387,37 @@ def _div_series(p: list, q: list) -> IntPoly:
     return trim(cand)
 
 
+def _stride_sums(s: list, k: int, step=None) -> None:
+    """Set ``s[j] = step(s[j-k], s[j])`` in place for ``j = k, k+1, ...`` in
+    increasing order: a running sum along each residue class mod k, where
+    ``step`` None adds.
+
+    Linear time, in about ``min(k, len(s)/k)`` Python-level steps: k strided
+    classes or about len(s)/k blocks, whichever is fewer, with ``accumulate``
+    or ``map`` doing the per-coefficient work.  A class step is the cheaper
+    of the two, so classes take the ties, and accumulate's own addition
+    beats ``add``.
+    """
+    n = len(s)
+    if k <= (n + k - 1) // k:
+        for j in range(k):
+            s[j::k] = accumulate(s[j::k], step)
+    else:
+        step = step or add
+        for lo in range(k, n, k):
+            s[lo : lo + k] = map(step, s[lo - k : lo], s[lo : lo + k])
+
+
 def _div_binomial(p: list, q: list) -> IntPoly:
     """Exact quotient by ``q = c0 + ck*X**k`` with ``c0 != 0`` and ``ck`` = ±1.
 
     Dividing by ``X**k + b`` with ``b = ck*c0`` (that is, by ``ck*q``) is the
     top-down recurrence ``s[j] = p[j] - b*s[j+k]``: a running sum along each
     residue class mod k.  Afterwards ``s[k:]`` is the quotient and ``s[:k]``
-    the remainder, so a zero ``s[:k]`` proves ``p == q*r`` exactly.  Linear
-    time, in about ``min(k, len(p)/k)`` Python-level steps: slices, ``map``
-    and ``accumulate`` do the per-coefficient work.
+    the remainder, so a zero ``s[:k]`` proves ``p == q*r`` exactly.  The
+    recurrence runs bottom-up, as :func:`_stride_sums`, on the reversal of
+    p, whose top k terms are then the remainder; the rest, reversed in
+    place, is the quotient.  Linear time, on one copy of p.
 
     A two-term dividend ``c0p + c*X**d`` over ``X**k - 1`` (``b == -1``)
     skips the sum.  Since ``X**k == 1`` modulo the divisor, the remainder is
@@ -414,21 +436,13 @@ def _div_binomial(p: list, q: list) -> IntPoly:
         out = ([ck * p[d]] + [0] * (k - 1)) * (d // k)
         del out[d - k + 1 :]  # the k - 1 zeros after the top term
         return out
-    step = add if b == -1 else (lambda acc, x: x - b * acc)
-    s = list(p)  # s[n-k:] == p[n-k:] already: nothing lies above the top of p
-    # k strided classes or about n/k blocks, whichever is fewer; a class
-    # step is the cheaper of the two, so classes take the ties.
-    if k <= (n + k - 1) // k:
-        fold = None if b == -1 else step  # accumulate's own addition beats add
-        for j in range(n - k, n):
-            s[j::-k] = accumulate(s[j::-k], fold)
-    else:
-        for hi in range(n - k, 0, -k):
-            lo = max(hi - k, 0)
-            s[lo:hi] = map(step, s[lo + k : hi + k], s[lo:hi])
-    if any(s[:k]):
+    s = p[::-1]
+    _stride_sums(s, k, None if b == -1 else (lambda acc, x: x - b * acc))
+    if any(s[n - k :]):
         raise NotDivisibleError("nonzero remainder")
-    return s[k:] if ck == 1 else list(map(neg, s[k:]))
+    del s[n - k :]
+    s.reverse()
+    return s if ck == 1 else list(map(neg, s))
 
 
 def poly_exact_div(p: Sequence[int], q: Sequence[int]) -> IntPoly:

@@ -125,7 +125,7 @@ IDENTITY_LABELS = frozenset(
 _WITNESS_TERMS = 40
 
 
-class CheckReport:
+class CheckReport(cyclo._FrozenRecord):
     """Outcome of one identity check at one parameter point.
 
     The fields cannot be assigned; reports compare equal, and hash, by
@@ -141,35 +141,10 @@ class CheckReport:
             raise ValueError("unknown identity label %r" % identity_name)
         if not passed and witness is None:
             raise ValueError("a failed report requires a witness")
-        object.__setattr__(self, "identity_name", identity_name)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def _astuple(self) -> tuple:
-        return (self.identity_name, self.params, self.passed, self.witness)
-
-    def __reduce__(self):
-        return CheckReport, self._astuple()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
+        super().__init__(identity_name, params, passed, witness)
 
     def __hash__(self) -> int:
         return hash(self._astuple())
-
-    def __repr__(self) -> str:
-        return (
-            "CheckReport(identity_name=%r, params=%r, passed=%r, witness=%r)" % self._astuple()
-        )
 
 
 def _render(value) -> str:
@@ -387,7 +362,7 @@ def _coefficient_checks(n: int) -> list:
 # ---------------------------------------------------------------------------
 # sweeps
 
-class SweepResult:
+class SweepResult(cyclo._Record):
     """Aggregate of a parameter sweep: total checks run and the failures.
 
     A sweep adds to ``checks`` and ``failures`` as it runs; results compare
@@ -400,17 +375,6 @@ class SweepResult:
         self.suite = suite
         self.checks = checks
         self.failures = failures
-
-    def _astuple(self) -> tuple:
-        return (self.suite, self.checks, self.failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "SweepResult(suite=%r, checks=%r, failures=%r)" % self._astuple()
 
     @property
     def passed(self) -> bool:

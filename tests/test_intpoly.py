@@ -475,6 +475,37 @@ class TestTwoTermDividend:
                 poly_exact_div([1] + x_pow_minus_1[1:], [-1] + [0] * (k - 1) + [1])
 
 
+class TestStrideSums:
+    # s[j] = step(s[j-k], s[j]) for increasing j; lengths 0..40 with
+    # k = 1..12 take both the per-class and the per-block traversal
+    @staticmethod
+    def _naive(s, k, step):
+        out = list(s)
+        for j in range(k, len(out)):
+            out[j] = out[j - k] + out[j] if step is None else step(out[j - k], out[j])
+        return out
+
+    def test_matches_a_naive_loop(self, monkeypatch):
+        calls = []
+        accumulate = intpoly.accumulate
+        monkeypatch.setattr(
+            intpoly, "accumulate", lambda *args: calls.append(1) or accumulate(*args)
+        )
+        rng = random.Random(35)
+        steps = [None] + [lambda acc, x, b=b: x - b * acc for b in (1, -1)]
+        traversals = set()
+        for n in range(41):
+            for k in range(1, 13):
+                for step in steps:
+                    s = [rng.randint(-9, 9) for _ in range(n)]
+                    want = self._naive(s, k, step)
+                    del calls[:]
+                    assert intpoly._stride_sums(s, k, step) is None
+                    assert s == want, (n, k, step)
+                    traversals.add(bool(calls))
+        assert traversals == {True, False}
+
+
 def _lift(p, g):
     """p(X**g), built independently of the library."""
     out = [0] * ((len(p) - 1) * g + 1)

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import pickle
 import tracemalloc
@@ -221,6 +222,18 @@ class TestCheckReport:
         assert result == SweepResult("poly", 2, [failure, failure])
         with pytest.raises(TypeError):
             hash(result)
+
+    def test_records_survive_pickle_and_copy(self):
+        # each record pickles and copies as its class called with its fields
+        failure = CheckReport("fundamental_product", (("n", 1),), False, "w")
+        result = SweepResult("poly", 3, [failure, failure])
+        for clone in (pickle.loads(pickle.dumps(result)), copy.copy(result)):
+            assert clone == result and clone is not result
+            assert type(clone) is SweepResult and not clone.passed
+        phi = cyclo.cyclotomic(12, "radical")
+        for record in (failure, phi):
+            clone = copy.copy(record)
+            assert clone == record and type(clone) is type(record)
 
     def test_witness_rendering_truncates(self):
         lhs = [1] * 101
