@@ -17,8 +17,6 @@ from .arith import (
     DefinitionResidualError,
     divisors,
     factorize,
-    gcd,
-    is_coprime,
     is_prime,
     mobius,
     ramanujan_sum,
@@ -39,15 +37,11 @@ from .intpoly import (
     NotDivisibleError,
     NotMonicError,
     coeffs_from_power_sums,
-    poly_add,
-    poly_degree,
-    poly_eval,
     poly_exact_div,
     poly_height,
     poly_mul,
     poly_prod,
     poly_str,
-    poly_sub,
     power_sums,
     substitute_power,
 )
@@ -83,21 +77,15 @@ __all__ = [
     "divisors",
     "mobius",
     "totient",
-    "gcd",
-    "is_coprime",
     "is_prime",
     "ramanujan_sum",
     "cyclotomic",
     "cyclotomic_poly",
     "cyclotomic_of_power",
     "radical_reduce",
-    "poly_add",
-    "poly_sub",
     "poly_mul",
     "poly_prod",
     "poly_exact_div",
-    "poly_eval",
-    "poly_degree",
     "poly_height",
     "poly_str",
     "substitute_power",

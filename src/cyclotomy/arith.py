@@ -193,11 +193,6 @@ def totient(n: int) -> int:
     return result
 
 
-def is_coprime(a: int, b: int) -> bool:
-    """True when gcd(a, b) == 1."""
-    return gcd(a, b) == 1
-
-
 # ---------------------------------------------------------------------------
 # Ramanujan sums
 
@@ -267,7 +262,10 @@ def ramanujan_sum(n: int, q: int, method: str = "kluyver") -> int:
     * ``kluyver``    -- sum of d * mu(n/d) over the divisors d of gcd(n, q);
     * ``hoelder``    -- mu(n/g) * phi(n) / phi(n/g) with g = gcd(n, q);
     * ``newton``     -- the (q mod n)-th power sum of the roots of the n-th
-      cyclotomic polynomial, via Newton's identities (c_n has period n in q);
+      cyclotomic polynomial, via Newton's identities (c_n has period n in q).
+      Each call builds Phi_n afresh, since ``cyclotomic_poly`` caches
+      nothing: for many q <= max_q at one n, take
+      ``power_sums(cyclotomic_poly(n), max_q)`` once, whose entry q is c_n(q);
     * ``definition`` -- floating-point cosine sum rounded to the nearest
       integer, raising :class:`DefinitionResidualError` when the residual
       exceeds 1e-6.  Exists purely as an independent numeric oracle.  It

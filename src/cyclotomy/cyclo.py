@@ -299,6 +299,6 @@ def cyclotomic_of_power(n: int, m: int) -> list:
     arith._check_index(n)
     arith._check_index(m, "m")
     arith._check_index(n * m, "n*m")  # the product runs over indices up to n*m
-    if not arith.is_coprime(n, m):
+    if gcd(n, m) != 1:
         raise NotCoprimeError("n and m must be coprime, got n=%d, m=%d" % (n, m))
     return _cyclotomic_product([d * n for d in arith.divisors(m)])

@@ -112,35 +112,9 @@ def _canonical(p: Sequence[int]) -> IntPoly:
     return trim(p)
 
 
-def poly_degree(p: Sequence[int]) -> int:
-    """Degree of ``p``; raises ``ValueError`` for the zero polynomial."""
-    q = trim(p)
-    if not q:
-        raise ValueError("the zero polynomial has no degree")
-    return len(q) - 1
-
-
 def poly_height(p: Sequence[int]) -> int:
     """Maximum absolute coefficient (0 for the zero polynomial)."""
     return max(map(abs, p), default=0)
-
-
-def poly_add(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    """Coefficient-wise sum, canonical."""
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for i, c in enumerate(q):
-        out[i] += c
-    return trim(out)
-
-
-def poly_sub(p: Sequence[int], q: Sequence[int]) -> IntPoly:
-    """Coefficient-wise difference, canonical."""
-    out = list(p) + [0] * (len(q) - len(p))
-    for i, c in enumerate(q):
-        out[i] -= c
-    return trim(out)
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +474,7 @@ def _lattice(polys: Iterable[list]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# composition and evaluation
+# composition
 
 def substitute_power(p: Sequence[int], m: int) -> IntPoly:
     """Return ``p(X**m)``."""
@@ -512,14 +486,6 @@ def substitute_power(p: Sequence[int], m: int) -> IntPoly:
     out = [0] * ((len(p) - 1) * m + 1)
     out[::m] = p
     return out
-
-
-def poly_eval(p: Sequence[int], x: int) -> int:
-    """Value of ``p`` at the integer ``x`` (Horner)."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 # ---------------------------------------------------------------------------

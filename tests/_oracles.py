@@ -8,6 +8,17 @@ are the reference the library is checked against, so they must stay dumb.
 from math import gcd
 
 
+def naive_add(a, b):
+    out = [0] * max(len(a), len(b))
+    for i in range(len(a)):
+        out[i] += a[i]
+    for j in range(len(b)):
+        out[j] += b[j]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def naive_mul(a, b):
     if not a or not b:
         return []

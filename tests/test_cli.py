@@ -5,11 +5,12 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
-from cyclotomy import arith, cyclo
+from cyclotomy import arith, cyclo, intpoly
 from cyclotomy.cli import run_cli
 
 
@@ -355,6 +356,28 @@ def test_import_and_parser_load_no_module_the_library_does_not_use():
     loaded = set(proc.stdout.split())
     assert "cyclotomy.cli" in loaded
     assert loaded & {"dataclasses", "inspect", "json", "signal", "typing"} == set()
+
+
+def test_package_exports_exactly_its_public_names():
+    # The public surface is __all__: no duplicate, every name resolves, and
+    # nothing public that is not a submodule is left outside it.  The
+    # arithmetic helpers no caller used stay deleted.
+    import cyclotomy
+
+    names = cyclotomy.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        getattr(cyclotomy, name)
+    public = {
+        name for name, value in vars(cyclotomy).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == set(names) - {"__version__"}
+    polynomial = ["poly_add", "poly_sub", "poly_eval", "poly_degree"]
+    removed = polynomial + ["is_coprime", "gcd"]
+    assert [name for name in removed if hasattr(cyclotomy, name)] == []
+    assert [name for name in polynomial if hasattr(intpoly, name)] == []
+    assert not hasattr(arith, "is_coprime")
 
 
 def test_verify_bounds_polynomial_suites(capsys):
